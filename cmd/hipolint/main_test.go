@@ -89,6 +89,7 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 	for _, want := range []string{
 		"hipo/internal/pdcs.Extract",
 		"hipo/internal/pdcs.ExtractAll",
+		"hipo/internal/pdcs.pipeline",
 		"hipo/internal/discretize.CandidatePositions",
 		"hipo/internal/submodular.GreedyLazy",
 		"hipo/internal/visindex.Ensure",

@@ -180,8 +180,8 @@ func TestHIPOBeatsBaselinesOnAverage(t *testing.T) {
 }
 
 // TestDistributedEqualsSerialQuality cross-checks Section 5 end to end on a
-// random obstacle scenario: greedy value from distributed extraction must
-// match the serial pipeline's within the dedup tolerance.
+// random obstacle scenario: distributed extraction yields the serial
+// pipeline's candidates, so the greedy places the identical chargers.
 func TestDistributedEqualsSerialQuality(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	sc := randomObstacleScenario(rng, 2, 8)
@@ -196,10 +196,19 @@ func TestDistributedEqualsSerialQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The candidate sets are equal up to dedup ordering, so values match
-	// closely; allow a small relative slack for tie-breaking.
-	if dist.ApproxValue < serial.ApproxValue*0.95-1e-9 {
-		t.Errorf("distributed %v well below serial %v", dist.ApproxValue, serial.ApproxValue)
+	if len(dist.Placed) != len(serial.Placed) {
+		t.Fatalf("distributed placed %d chargers, serial %d", len(dist.Placed), len(serial.Placed))
+	}
+	for i := range serial.Placed {
+		a, b := serial.Placed[i], dist.Placed[i]
+		if math.Float64bits(a.Pos.X) != math.Float64bits(b.Pos.X) ||
+			math.Float64bits(a.Pos.Y) != math.Float64bits(b.Pos.Y) ||
+			math.Float64bits(a.Orient) != math.Float64bits(b.Orient) || a.Type != b.Type {
+			t.Fatalf("charger %d: distributed %+v, serial %+v", i, b, a)
+		}
+	}
+	if math.Float64bits(dist.ApproxValue) != math.Float64bits(serial.ApproxValue) {
+		t.Errorf("distributed value %v, serial %v", dist.ApproxValue, serial.ApproxValue)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
@@ -103,12 +102,21 @@ func withVisibility(sc *model.Scenario, opt Options) *model.Scenario {
 // DefaultOptions returns the paper's default parameters (ε = 0.15).
 func DefaultOptions() Options { return Options{Eps: 0.15} }
 
-func (o Options) eps1() float64 {
+// ExtractConfig returns the PDCS extraction configuration a solve with
+// these options runs, so every extraction path agrees on it.
+func (o Options) ExtractConfig() pdcs.Config {
 	eps := o.Eps
 	if eps <= 0 || eps >= 0.5 {
 		eps = 0.15
 	}
-	return power.Eps1ForEps(eps)
+	return pdcs.Config{
+		Eps1:                  power.Eps1ForEps(eps),
+		Workers:               o.Workers,
+		SkipDominanceFilter:   o.SkipDominanceFilter,
+		SkipPairConstructions: o.SkipPairConstructions,
+		BruteForceVisibility:  o.useBruteVisibility(),
+		Tracer:                o.Tracer,
+	}
 }
 
 // Solution is a solved placement.
@@ -152,18 +160,7 @@ func ExtractCandidates(sc *model.Scenario, opt Options) [][]pdcs.Candidate {
 // extractCandidates is ExtractCandidates with cancellation between types.
 func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, error) {
 	sc = withVisibility(sc, opt)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cfg := pdcs.Config{
-		Eps1:                  opt.eps1(),
-		Workers:               workers,
-		SkipDominanceFilter:   opt.SkipDominanceFilter,
-		SkipPairConstructions: opt.SkipPairConstructions,
-		BruteForceVisibility:  opt.useBruteVisibility(),
-		Tracer:                opt.Tracer,
-	}
+	cfg := opt.ExtractConfig()
 	defer snapshotMemoStats(sc, opt.Tracer)()
 	// Types run sequentially; the position sweep inside each Extract is
 	// already parallel, which balances better than one goroutine per type
@@ -220,7 +217,7 @@ func SelectFromCandidates(sc *model.Scenario, cands [][]pdcs.Candidate, opt Opti
 	var res submodular.Result
 	switch opt.Variant {
 	case GreedyGlobal:
-		res = submodular.GreedyGlobalParallel(inst, opt.Workers)
+		res = submodular.GreedyGlobal(inst)
 	case GreedyPerType:
 		res = submodular.GreedyPerType(inst)
 	case GreedyContinuous:

@@ -7,6 +7,7 @@ import (
 
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/pdcs"
 	"hipo/internal/power"
 )
 
@@ -102,6 +103,46 @@ func TestVariantsConsistent(t *testing.T) {
 	}
 	if values[2] < values[1]/2-1e-9 || values[1] < values[2]/2-1e-9 {
 		t.Errorf("per-type %v vs global %v inconsistent", values[2], values[1])
+	}
+}
+
+// TestGreedyGlobalIndependentOfWorkers pins the global greedy to one
+// selection at every worker count. Among 400 single-device candidates,
+// index 300 beats index 0 by one ulp of gain; the strictly larger gain must
+// win however many workers the options carry.
+func TestGreedyGlobalIndependentOfWorkers(t *testing.T) {
+	sc := &model.Scenario{
+		Region:       model.Region{Min: geom.V(0, 0), Max: geom.V(500, 10)},
+		ChargerTypes: []model.ChargerType{{Name: "c", Alpha: math.Pi / 2, DMin: 0, DMax: 5, Count: 1}},
+		DeviceTypes:  []model.DeviceType{{Name: "d", Alpha: 2 * math.Pi, PTh: 1}},
+		Power:        [][]model.PowerParams{{{A: 1, B: 1}}},
+		Devices:      []model.Device{{Pos: geom.V(1, 1)}},
+	}
+	cands := make([]pdcs.Candidate, 400)
+	for i := range cands {
+		pw := 0.1
+		switch i {
+		case 0:
+			pw = 0.3
+		case 300:
+			pw = math.Nextafter(0.3, 1)
+		}
+		cands[i] = pdcs.Candidate{
+			S:      model.Strategy{Pos: geom.V(float64(i), 5)},
+			Covers: []pdcs.DevPower{{Device: 0, Power: pw}},
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		opt := DefaultOptions()
+		opt.Variant = GreedyGlobal
+		opt.Workers = workers
+		sol, err := SelectFromCandidates(sc, [][]pdcs.Candidate{cands}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sol.Placed) != 1 || sol.Placed[0].Pos.X != 300 {
+			t.Fatalf("workers=%d: placed %v, want the candidate at index 300", workers, sol.Placed)
+		}
 	}
 }
 

@@ -13,10 +13,10 @@
 // one of these points (Theorem 4.1's three shrinking operations terminate at
 // exactly these events).
 //
-// The generation is split per device (DevicePositions) and per device pair
-// (PairPositions) so that the distributed Algorithm 4 of Section 5 can
-// partition it into independent tasks; CandidatePositions is their
-// deduplicated union.
+// The generation is split into per-device tasks (device i's own events plus
+// its pair constructions with larger-indexed neighbors) so that the
+// distributed Algorithm 4 of Section 5 can partition it; CandidatePositions
+// is the deduplicated union of the task workloads in device order.
 package discretize
 
 import (
@@ -46,13 +46,6 @@ type Config struct {
 	// (Algorithm 2 steps 1–7), leaving only per-device ring events. Used by
 	// ablation benchmarks.
 	SkipPairConstructions bool
-	// NoPairPruning disables the spatial prefilters (device grid for
-	// neighbor sets and usefulness tests, obstacle-box pruning for ring
-	// cutting) and falls back to the exhaustive scans. Output is identical
-	// either way — the prefilters are conservative supersets re-checked by
-	// the exact predicates — so this exists as the benchmark baseline arm
-	// and for bit-identity tests.
-	NoPairPruning bool
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool
@@ -61,10 +54,6 @@ type Config struct {
 	// call, so a nil Tracer costs nothing.
 	Tracer *hipotrace.Tracer
 }
-
-// DefaultEps1 corresponds to the paper's default ε = 0.15 via
-// ε₁ = 2ε/(1−2ε).
-func DefaultEps1() float64 { return power.Eps1ForEps(0.15) }
 
 // Radii returns the candidate ring radii around device j for charger type
 // q: the charger's d_min plus every distance level of Lemma 4.1 for the
@@ -116,10 +105,11 @@ type Generator struct {
 	// near-disk prefilter can assemble pruned edge lists that stay
 	// subsequences of obs (preserving enumeration order).
 	obsEdges [][]geom.Segment
-	// neighbors[i] is the precomputed NeighborSet of device i (ascending).
+	// neighbors[i] lists, ascending, the devices within 2·d_max of device i
+	// (the O_i^k of Algorithm 4), excluding i itself.
 	neighbors [][]int
-	// ix (the scenario's visibility index) and dgrid (a device-position
-	// grid) power the spatial prefilters; both nil under NoPairPruning.
+	// ix (the scenario's visibility index, nil without one) and dgrid (a
+	// device-position grid) power the spatial prefilters.
 	ix    *visindex.Index
 	dgrid *visindex.DeviceGrid
 }
@@ -165,7 +155,7 @@ func NewGenerator(sc *model.Scenario, q int, cfg Config) *Generator {
 		g.obs = append(g.obs, perObs[h]...)
 		g.obsEdges[h] = g.obs[start:len(g.obs):len(g.obs)]
 	}
-	if !cfg.NoPairPruning && !cfg.BruteForceVisibility {
+	if !cfg.BruteForceVisibility {
 		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
 			g.ix = ix
 		}
@@ -174,29 +164,15 @@ func NewGenerator(sc *model.Scenario, q int, cfg Config) *Generator {
 	return g
 }
 
-// buildNeighbors precomputes every device's NeighborSet. With pruning
-// enabled a device grid narrows each scan to the cells overlapping the
-// 2·d_max disk and reports the pairs it skipped to the tracer; the exact
-// distance predicate then decides membership either way, so both paths
-// produce identical sets.
+// buildNeighbors precomputes every device's neighbor set. A device grid
+// narrows each scan to the cells overlapping the 2·d_max disk and reports
+// the pairs it skipped to the tracer; the exact distance predicate then
+// decides membership, so the sets equal an exhaustive scan's.
 func (g *Generator) buildNeighbors() {
 	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
 	no := len(sc.Devices)
 	g.neighbors = make([][]int, no)
-	if no == 0 {
-		return
-	}
 	r := 2 * ct.DMax
-	if g.cfg.NoPairPruning {
-		for i := 0; i < no; i++ {
-			for j := 0; j < no; j++ {
-				if j != i && sc.Devices[i].Pos.Dist(sc.Devices[j].Pos) <= r {
-					g.neighbors[i] = append(g.neighbors[i], j)
-				}
-			}
-		}
-		return
-	}
 	pts := make([]geom.Vec, no)
 	for i := range pts {
 		pts[i] = sc.Devices[i].Pos
@@ -224,14 +200,10 @@ func (g *Generator) buildNeighbors() {
 	g.cfg.Tracer.Add(hipotrace.CtrPairsPruned, pruned)
 }
 
-// DevicePositions emits the per-device candidate positions of device j:
-// its level rings cut against its own sector edges, hole rays, and all
+// appendDevicePositions emits the per-device candidate positions of device
+// j: its level rings cut against its own sector edges, hole rays, and all
 // obstacle edges, plus event-angle boundary samples (Algorithm 2 step 8).
 // Positions are filtered for placement feasibility but not deduplicated.
-func (g *Generator) DevicePositions(j int) []geom.Vec {
-	return g.appendDevicePositions(nil, j)
-}
-
 func (g *Generator) appendDevicePositions(out []geom.Vec, j int) []geom.Vec {
 	feas := 0
 	add := func(p geom.Vec) {
@@ -249,7 +221,7 @@ func (g *Generator) appendDevicePositions(out []geom.Vec, j int) []geom.Vec {
 		}
 	}
 	if segsPooled {
-		putSegBuf(segs)
+		segBufs.put(segs)
 	}
 	for _, p := range g.eventAngleSamples(j) {
 		add(p)
@@ -264,7 +236,7 @@ func (g *Generator) appendDevicePositions(out []geom.Vec, j int) []geom.Vec {
 // list is a subsequence of the full one, and every dropped obstacle is
 // provably beyond every ring's intersection tolerance, so the emitted
 // positions are unchanged. The returned slice comes from a pool when
-// pruning assembled it (pooled=true; caller must return it via putSegBuf).
+// pruning assembled it (pooled=true; caller must return it via segBufs.put).
 func (g *Generator) deviceSegs(j int) (segs []geom.Segment, pooled bool) {
 	if g.ix == nil || len(g.obs) == 0 {
 		segs = make([]geom.Segment, 0, len(g.edges[j])+len(g.holes[j])+len(g.obs))
@@ -274,33 +246,23 @@ func (g *Generator) deviceSegs(j int) (segs []geom.Segment, pooled bool) {
 		return segs, false
 	}
 	maxR := g.circles[j][len(g.circles[j])-1].R
-	near := getObsBuf()
+	near, _ := obsBufs.get()
 	near = g.ix.AppendObstaclesNearDisk(near, g.sc.Devices[j].Pos, maxR+prunePad)
-	segs = getSegBuf()
+	segs, _ = segBufs.get()
 	segs = append(segs, g.edges[j]...)
 	segs = append(segs, g.holes[j]...)
 	for _, h := range near {
 		segs = append(segs, g.obsEdges[h]...)
 	}
-	putObsBuf(near)
+	obsBufs.put(near)
 	return segs, true
 }
 
-// PairPositions emits the candidate positions arising from the device pair
-// (i, j): ring/ring intersections, cross ring/sector-edge and ring/hole-ray
-// intersections, and — unless disabled — Algorithm 2's line and
-// inscribed-arc constructions. Returns nil when the devices are farther
-// apart than 2·d_max. Not deduplicated.
-func (g *Generator) PairPositions(i, j int) []geom.Vec {
-	ct := g.sc.ChargerTypes[g.q]
-	if g.sc.Devices[i].Pos.Dist(g.sc.Devices[j].Pos) > 2*ct.DMax {
-		return nil
-	}
-	return g.appendPairPositions(nil, i, j)
-}
-
-// appendPairPositions assumes the pair is within 2·d_max (callers walk
-// precomputed neighbor sets).
+// appendPairPositions emits the candidate positions arising from the
+// device pair (i, j): ring/ring intersections, cross ring/sector-edge and
+// ring/hole-ray intersections, and — unless disabled — Algorithm 2's line
+// and inscribed-arc constructions. Not deduplicated. It assumes the pair is
+// within 2·d_max (callers walk precomputed neighbor sets).
 func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	ct := g.sc.ChargerTypes[g.q]
 	pi, pj := g.sc.Devices[i].Pos, g.sc.Devices[j].Pos
@@ -370,23 +332,11 @@ func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	return out
 }
 
-// NeighborSet returns the indices of devices within 2·d_max of device i
-// (the O_i^k of Algorithm 4), excluding i itself. The sets are precomputed
-// at generator construction (spatially pruned unless NoPairPruning); the
-// returned slice is a copy the caller may mutate.
-func (g *Generator) NeighborSet(i int) []int {
-	return append([]int(nil), g.neighbors[i]...)
-}
-
-// TaskPositions emits the complete candidate-position workload of
+// appendTaskPositions emits the complete candidate-position workload of
 // distributed task i for this charger type (Algorithm 4): device i's own
 // events plus the pair constructions with every neighbor of larger index
 // (smaller indices are handled by their own tasks, avoiding duplicate
 // work). Not deduplicated.
-func (g *Generator) TaskPositions(i int) []geom.Vec {
-	return g.appendTaskPositions(nil, i)
-}
-
 func (g *Generator) appendTaskPositions(out []geom.Vec, i int) []geom.Vec {
 	out = g.appendDevicePositions(out, i)
 	for _, j := range g.neighbors[i] {
@@ -424,14 +374,14 @@ func (g *Generator) TaskCost(i int) float64 {
 }
 
 // CandidatePositions returns the candidate charger positions for charger
-// type q: the deduplicated union of all per-device and per-pair positions,
-// restricted to the deployment region, outside obstacle interiors, and
-// within charging range of at least one device. Per-device workloads run
-// in parallel on cfg.Workers goroutines (0 = GOMAXPROCS), handed out in
-// LPT order under the shared TaskCost model so the longest tasks start
-// first; position buffers are pooled across tasks. Deduplication is
-// order-stable over task order, so results are deterministic regardless of
-// worker count, hand-out order, or pooling.
+// type q: the deduplicated union of all task workloads, restricted to the
+// deployment region, outside obstacle interiors, and within charging range
+// of at least one device. Task workloads run in parallel on cfg.Workers
+// goroutines (0 = GOMAXPROCS), handed out in LPT order under the shared
+// TaskCost model so the longest tasks start first; position buffers are
+// pooled across tasks. Deduplication is order-stable over task order, so
+// results are deterministic regardless of worker count, hand-out order, or
+// pooling.
 //
 //hipo:hotpath
 func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
@@ -439,92 +389,117 @@ func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
 		sc = visindex.Ensure(sc)
 	}
 	g := NewGenerator(sc, q, cfg)
-	workers := cfg.Workers
+	tasks := g.Workloads(nil, cfg.Workers, nil, nil)
+	pts, _ := g.Assemble(tasks)
+	ReleaseWorkloads(tasks)
+	return pts
+}
+
+// Workloads is the generation stage of candidate extraction: it returns the
+// position workload of every task, indexed by device. Non-nil entries of
+// cached are reused as they stand; every other task is generated on workers
+// goroutines (0 = GOMAXPROCS) handed out in order, a permutation of the
+// tasks (LPT under TaskCost when nil). With cached non-nil the generated
+// workloads are stored into it and belong to the caller; with cached nil
+// they live in pooled buffers that ReleaseWorkloads takes back once the
+// caller has assembled them. wrap, when non-nil, runs each generation, so
+// a caller can time tasks (Algorithm 5).
+func (g *Generator) Workloads(cached [][]geom.Vec, workers int, order []int, wrap func(i int, generate func())) [][]geom.Vec {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	no := len(sc.Devices)
-	tasks := make([]schedule.Task, no)
-	for i := range tasks {
-		tasks[i] = schedule.Task{ID: i, Duration: g.TaskCost(i)}
+	if order == nil {
+		tasks := make([]schedule.Task, len(g.sc.Devices))
+		for i := range tasks {
+			tasks[i] = schedule.Task{ID: i, Duration: g.TaskCost(i)}
+		}
+		order = schedule.LPTOrder(tasks)
 	}
+	pooled := cached == nil
 	var reuse atomic.Int64
-	perDevice := schedule.RunPoolOrdered(no, workers, schedule.LPTOrder(tasks), func(i int) []geom.Vec {
-		buf, reused := getPosBuf()
-		if reused {
-			reuse.Add(1)
+	out := schedule.RunPoolOrdered(len(g.sc.Devices), workers, order, func(i int) []geom.Vec {
+		if !pooled && cached[i] != nil {
+			return cached[i]
+		}
+		var buf []geom.Vec
+		if pooled {
+			var reused bool
+			if buf, reused = posBufs.get(); reused {
+				reuse.Add(1)
+			}
+		}
+		if wrap != nil {
+			return g.wrapTask(wrap, buf, i)
 		}
 		return g.appendTaskPositions(buf, i)
 	})
+	g.cfg.Tracer.Add(hipotrace.CtrPoolReuse, reuse.Load())
+	if !pooled {
+		copy(cached, out)
+	}
+	return out
+}
+
+// wrapTask generates task i's workload into buf under wrap.
+func (g *Generator) wrapTask(wrap func(i int, generate func()), buf []geom.Vec, i int) []geom.Vec {
+	wrap(i, func() { buf = g.appendTaskPositions(buf, i) })
+	return buf
+}
+
+// ReleaseWorkloads returns the pooled buffers of Workloads(nil, ...) to the
+// pool; the workloads must not be used afterwards.
+func ReleaseWorkloads(tasks [][]geom.Vec) {
+	for _, t := range tasks {
+		posBufs.put(t)
+	}
+}
+
+// Assemble builds the candidate-position list from task workloads in device
+// order: first-wins dedup (1e-6 tolerance) over their concatenation, then
+// the usefulness filter, which keeps positions within charging range of at
+// least one device. Both steps preserve order, so the positions task i
+// produced first form the contiguous run pts[ends[i-1]:ends[i]] (from 0
+// for task 0).
+func (g *Generator) Assemble(tasks [][]geom.Vec) (pts []geom.Vec, ends []int) {
 	dd := newDeduper()
-	for _, pts := range perDevice {
-		for _, p := range pts {
+	ends = make([]int, len(tasks))
+	for i, t := range tasks {
+		for _, p := range t {
 			dd.add(p)
 		}
-		putPosBuf(pts)
+		ends[i] = len(dd.points)
 	}
-	cfg.Tracer.Add(hipotrace.CtrPoolReuse, reuse.Load())
-	return g.FilterUseful(dd.points)
-}
-
-// FilterUseful keeps positions within charging range of at least one
-// device for charger type q by exhaustive device scan.
-func FilterUseful(sc *model.Scenario, q int, pts []geom.Vec) []geom.Vec {
-	ct := sc.ChargerTypes[q]
-	out := pts[:0]
-	for _, p := range pts {
-		useful := false
-		for j := 0; j < len(sc.Devices) && !useful; j++ {
-			d := p.Dist(sc.Devices[j].Pos)
-			useful = d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps
-		}
-		if useful {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FilterUseful is the generator-aware variant of the package function:
-// with the device grid available it only distance-tests the devices whose
-// cells overlap each position's d_max disk. The grid superset is re-checked
-// by the identical exact predicate, so output matches the exhaustive scan
-// bit for bit.
-func (g *Generator) FilterUseful(pts []geom.Vec) []geom.Vec {
-	if g.dgrid == nil {
-		return FilterUseful(g.sc, g.q, pts)
-	}
-	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
+	pts = dd.points[:0]
 	mask := make([]uint64, g.dgrid.Words())
-	out := pts[:0]
-	for _, p := range pts {
-		for w := range mask {
-			mask[w] = 0
-		}
-		g.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
-		useful := false
-		for w := 0; w < len(mask) && !useful; w++ {
-			for m := mask[w]; m != 0 && !useful; m &= m - 1 {
-				j := w*64 + bits.TrailingZeros64(m)
-				d := p.Dist(sc.Devices[j].Pos)
-				useful = d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps
+	k := 0
+	for i, end := range ends {
+		for ; k < end; k++ {
+			if g.useful(dd.points[k], mask) {
+				pts = append(pts, dd.points[k])
 			}
 		}
-		if useful {
-			out = append(out, p)
-		}
+		ends[i] = len(pts)
 	}
-	return out
+	return pts, ends
 }
 
-// Dedup removes near-duplicate points (1e-6 tolerance), preserving first
-// occurrences.
-func Dedup(pts []geom.Vec) []geom.Vec {
-	dd := newDeduper()
-	for _, p := range pts {
-		dd.add(p)
+// useful reports whether p is within charging range of some device. Only
+// the devices whose grid cells overlap p's d_max disk are distance-tested;
+// the grid superset is re-checked by the exact predicate, so the answer
+// matches an exhaustive device scan bit for bit.
+func (g *Generator) useful(p geom.Vec, mask []uint64) bool {
+	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
+	clear(mask)
+	g.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			if d := p.Dist(sc.Devices[j].Pos); d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps {
+				return true
+			}
+		}
 	}
-	return dd.points
+	return false
 }
 
 // eventAngleSamples returns representative points on each level ring of

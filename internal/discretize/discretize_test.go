@@ -150,11 +150,3 @@ func TestFinerEpsMoreCandidates(t *testing.T) {
 		t.Errorf("finer eps1 should yield more candidates: %d vs %d", len(fine), len(coarse))
 	}
 }
-
-func TestDefaultEps1(t *testing.T) {
-	got := DefaultEps1()
-	want := 0.3 / 0.7
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("DefaultEps1 = %v, want %v", got, want)
-	}
-}

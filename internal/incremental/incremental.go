@@ -14,12 +14,13 @@
 //     depends only on geometry within d_max of the position, and the cold
 //     Extract is exactly "sweep positions in order, reduce, dominance-filter".
 //
-// A Session therefore caches per-task position lists and per-position sweep
-// outputs, computes a conservative blast radius for every mutation
-// (2·d_max + pad for tasks, d_max + pad for sweeps), recomputes only what
-// the radius touches, and reassembles the caches in cold order. The result
-// feeds the same reducer, dominance filter, and instance builder as the
-// cold path, so every incremental solve is bit-for-bit identical to
+// A Session therefore keeps one pdcs.Memo per charger type — per-task
+// position lists and per-position sweep outputs — and computes a
+// conservative blast radius for every mutation (2·d_max + pad for tasks,
+// d_max + pad for sweeps) that invalidates exactly what the radius touches.
+// Solve passes the memos to Extract's own pipeline, which recomputes the
+// gaps and runs the same dedup, filter, reducer, and dominance filter as a
+// cold solve, so every incremental solve is bit-for-bit identical to
 // core.Solve on the mutated scenario — the parity tests in this package and
 // the bench gate in cmd/hipobench enforce exactly that, not an approximate
 // agreement.
@@ -34,16 +35,12 @@ package incremental
 import (
 	"fmt"
 	"math"
-	"os"
-	"runtime"
 
 	"hipo/internal/core"
-	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
 	"hipo/internal/power"
-	"hipo/internal/schedule"
 	"hipo/internal/submodular"
 	"hipo/internal/visindex"
 )
@@ -108,32 +105,13 @@ type Stats struct {
 	GainsCold       int // round-0 gains recomputed
 }
 
-// posKey is the exact bit pattern of a candidate position — the sweep-cache
-// key. Positions survive dedup with their first-occurrence bits, so equal
-// geometry always rebuilds the same key.
-type posKey struct{ x, y uint64 }
-
-func keyOf(p geom.Vec) posKey {
-	return posKey{math.Float64bits(p.X), math.Float64bits(p.Y)}
-}
-
-// typeState is the per-charger-type cache.
-type typeState struct {
-	// taskPos[i] is the cached (not deduplicated) position workload of
-	// discretize task i; nil marks it dirty.
-	taskPos [][]geom.Vec
-	// sweep maps a candidate position to its Algorithm 1 output. Values own
-	// their Covers privately.
-	sweep map[posKey][]pdcs.Candidate
-}
-
 // Session incrementally re-solves one scenario under a mutation stream.
 // Not safe for concurrent use.
 type Session struct {
 	sc    *model.Scenario
 	opt   core.Options
 	brute bool
-	types []*typeState
+	memos []*pdcs.Memo // one per charger type
 
 	// gains content-addresses round-0 singleton gains by coverage list;
 	// gainsOK is false whenever reuse would not be bit-exact (device count
@@ -167,17 +145,14 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 	s := &Session{
 		sc:    sc.Clone(),
 		opt:   opt,
-		brute: opt.BruteForceVisibility || os.Getenv("HIPO_BRUTE_FORCE_VISIBILITY") != "",
+		brute: opt.ExtractConfig().BruteForceVisibility,
 	}
 	if !s.brute {
 		s.sc = visindex.Ensure(s.sc)
 	}
-	s.types = make([]*typeState, len(s.sc.ChargerTypes))
-	for q := range s.types {
-		s.types[q] = &typeState{
-			taskPos: make([][]geom.Vec, len(s.sc.Devices)),
-			sweep:   make(map[posKey][]pdcs.Candidate),
-		}
+	s.memos = make([]*pdcs.Memo, len(s.sc.ChargerTypes))
+	for q := range s.memos {
+		s.memos[q] = pdcs.NewMemo(len(s.sc.Devices))
 	}
 	return s, nil
 }
@@ -186,22 +161,15 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 func (s *Session) Scenario() *model.Scenario { return s.sc.Clone() }
 
 // Stats returns the cumulative cache counters.
-func (s *Session) Stats() Stats { return s.stats }
-
-// eps1 mirrors core.Options' defaulting of the level parameter.
-func (s *Session) eps1() float64 {
-	eps := s.opt.Eps
-	if eps <= 0 || eps >= 0.5 {
-		eps = 0.15
+func (s *Session) Stats() Stats {
+	st := s.stats
+	for _, memo := range s.memos {
+		st.TasksRecomputed += memo.TasksRecomputed
+		st.TasksReused += memo.TasksReused
+		st.SweepsComputed += memo.SweepsComputed
+		st.SweepsReused += memo.SweepsReused
 	}
-	return power.Eps1ForEps(eps)
-}
-
-func (s *Session) workers() int {
-	if s.opt.Workers > 0 {
-		return s.opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+	return st
 }
 
 // Apply applies the mutations in order. Each mutation is validated against
@@ -225,8 +193,8 @@ func (s *Session) applyOne(m Mutation) error {
 			return err
 		}
 		s.sc.Devices = append(s.sc.Devices, m.Device)
-		for _, ts := range s.types {
-			ts.taskPos = append(ts.taskPos, nil)
+		for _, memo := range s.memos {
+			memo.Tasks = append(memo.Tasks, nil)
 		}
 		s.invalidateAround(m.Device.Pos, m.Device.Pos)
 		s.gains, s.gainsOK = nil, false
@@ -238,11 +206,11 @@ func (s *Session) applyOne(m Mutation) error {
 		}
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices = append(s.sc.Devices[:m.Index], s.sc.Devices[m.Index+1:]...)
-		for _, ts := range s.types {
-			ts.taskPos = append(ts.taskPos[:m.Index], ts.taskPos[m.Index+1:]...)
+		for _, memo := range s.memos {
+			memo.Tasks = append(memo.Tasks[:m.Index], memo.Tasks[m.Index+1:]...)
 			// Surviving sweeps are > d_max from the removed device, so it
 			// never appears in their Covers; later device indices shift down.
-			for _, cs := range ts.sweep {
+			for _, cs := range memo.Sweeps {
 				for i := range cs {
 					for c := range cs[i].Covers {
 						if cs[i].Covers[c].Device > m.Index {
@@ -267,8 +235,8 @@ func (s *Session) applyOne(m Mutation) error {
 		}
 		old := s.sc.Devices[m.Index].Pos
 		s.sc.Devices[m.Index] = d
-		for _, ts := range s.types {
-			ts.taskPos[m.Index] = nil
+		for _, memo := range s.memos {
+			memo.Tasks[m.Index] = nil
 		}
 		s.invalidateAround(old, d.Pos)
 		return nil
@@ -297,14 +265,12 @@ func (s *Session) applyOne(m Mutation) error {
 		// task's position workload is stale; sweeps depend on obstacles only
 		// within d_max of the position.
 		lo, hi := bbox(m.Obstacle.Shape.Vertices)
-		for q, ts := range s.types {
-			for i := range ts.taskPos {
-				ts.taskPos[i] = nil
-			}
+		for q, memo := range s.memos {
+			clear(memo.Tasks)
 			rs := s.sc.ChargerTypes[q].DMax + invPad
-			for k := range ts.sweep {
-				if distToBox(vecOf(k), lo, hi) <= rs {
-					delete(ts.sweep, k)
+			for k := range memo.Sweeps {
+				if distToBox(k.Pos(), lo, hi) <= rs {
+					delete(memo.Sweeps, k)
 				}
 			}
 		}
@@ -343,30 +309,26 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // cached sweeps within d_max + pad (their eligibility, coverage, or
 // feasibility can involve it).
 func (s *Session) invalidateAround(a, b geom.Vec) {
-	for q, ts := range s.types {
+	for q, memo := range s.memos {
 		ct := s.sc.ChargerTypes[q]
 		rt := 2*ct.DMax + invPad
-		for i := range ts.taskPos {
-			if ts.taskPos[i] == nil {
+		for i := range memo.Tasks {
+			if memo.Tasks[i] == nil {
 				continue
 			}
 			p := s.sc.Devices[i].Pos
 			if p.Dist(a) <= rt || p.Dist(b) <= rt {
-				ts.taskPos[i] = nil
+				memo.Tasks[i] = nil
 			}
 		}
 		rs := ct.DMax + invPad
-		for k := range ts.sweep {
-			p := vecOf(k)
+		for k := range memo.Sweeps {
+			p := k.Pos()
 			if p.Dist(a) <= rs || p.Dist(b) <= rs {
-				delete(ts.sweep, k)
+				delete(memo.Sweeps, k)
 			}
 		}
 	}
-}
-
-func vecOf(k posKey) geom.Vec {
-	return geom.Vec{X: math.Float64frombits(k.x), Y: math.Float64frombits(k.y)}
 }
 
 func bbox(vs []geom.Vec) (lo, hi geom.Vec) {
@@ -393,85 +355,10 @@ func (s *Session) Solve() (*core.Solution, error) {
 		s.stats.FastPath++
 		return s.prev, nil
 	}
-	workers := s.workers()
-	pcfg := pdcs.Config{
-		Eps1:                  s.eps1(),
-		Workers:               workers,
-		SkipPairConstructions: s.opt.SkipPairConstructions,
-		BruteForceVisibility:  s.brute,
-		Tracer:                s.opt.Tracer,
-	}
-	dcfg := discretize.Config{
-		Eps1:                  pcfg.Eps1,
-		Workers:               workers,
-		SkipPairConstructions: pcfg.SkipPairConstructions,
-		BruteForceVisibility:  s.brute,
-		Tracer:                s.opt.Tracer,
-	}
-	cands := make([][]pdcs.Candidate, len(s.types))
-	for q, ts := range s.types {
-		gen := discretize.NewGenerator(s.sc, q, dcfg)
-
-		// Regenerate dirty task workloads in parallel; reuse the rest.
-		var dirty []int
-		for i := range ts.taskPos {
-			if ts.taskPos[i] == nil {
-				dirty = append(dirty, i)
-			}
-		}
-		s.stats.TasksRecomputed += len(dirty)
-		s.stats.TasksReused += len(ts.taskPos) - len(dirty)
-		regen := schedule.RunPool(len(dirty), workers, func(k int) []geom.Vec {
-			return gen.TaskPositions(dirty[k])
-		})
-		for k, i := range dirty {
-			ts.taskPos[i] = regen[k]
-		}
-
-		// Reassemble the cold position list: concatenation in device order,
-		// first-wins dedup, usefulness filter — CandidatePositions verbatim.
-		var all []geom.Vec
-		for i := range ts.taskPos {
-			all = append(all, ts.taskPos[i]...)
-		}
-		positions := gen.FilterUseful(discretize.Dedup(all))
-
-		// Sweep only cache misses, then reduce in full position order.
-		perPos := make([][]pdcs.Candidate, len(positions))
-		var missIdx []int
-		var missPts []geom.Vec
-		for i, p := range positions {
-			if cs, ok := ts.sweep[keyOf(p)]; ok {
-				perPos[i] = cs
-			} else {
-				missIdx = append(missIdx, i)
-				missPts = append(missPts, p)
-			}
-		}
-		s.stats.SweepsComputed += len(missPts)
-		s.stats.SweepsReused += len(positions) - len(missPts)
-		if len(missPts) > 0 {
-			sw := pdcs.NewSweeper(s.sc, q, pcfg)
-			out := sw.SweepPositions(missPts)
-			for k, i := range missIdx {
-				perPos[i] = out[k]
-				ts.sweep[keyOf(positions[i])] = out[k]
-			}
-		}
-		// Mark-and-sweep: drop cache entries no current position references,
-		// bounding the cache at the live position count.
-		if len(ts.sweep) > len(positions) {
-			live := make(map[posKey]bool, len(positions))
-			for _, p := range positions {
-				live[keyOf(p)] = true
-			}
-			for k := range ts.sweep {
-				if !live[k] {
-					delete(ts.sweep, k)
-				}
-			}
-		}
-		cands[q] = pdcs.ReduceCandidates(perPos, len(s.sc.Devices))
+	cfg := s.opt.ExtractConfig()
+	cands := make([][]pdcs.Candidate, len(s.memos))
+	for q, memo := range s.memos {
+		cands[q] = memo.Extract(s.sc, q, cfg)
 	}
 
 	sol, err := s.selectWarm(cands)

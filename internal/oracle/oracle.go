@@ -1,13 +1,21 @@
-// Package oracle computes exact optima of tiny submodular placement
-// instances by exhaustive enumeration. It exists purely as a test harness:
-// the greedy pipeline carries a 1/2 − ε guarantee (Theorem 4.2) relative to
-// the optimum over the extracted candidate set, and the oracle makes that
-// optimum computable — so differential tests can assert the guarantee holds
-// with an actual inequality instead of trusting the proof transcription.
+// Package oracle holds the reference implementations the solver is checked
+// against. Neither runs on any production path.
 //
-// The enumeration is exponential by design and refuses to run past an
-// explicit evaluation budget; it is only meaningful for scenarios with a
-// handful of candidates and single-digit charger budgets.
+// Exhaustive computes exact optima of tiny submodular placement instances
+// by enumeration: the greedy pipeline carries a 1/2 − ε guarantee (Theorem
+// 4.2) relative to the optimum over the extracted candidate set, and the
+// oracle makes that optimum computable — so differential tests can assert
+// the guarantee holds with an actual inequality instead of trusting the
+// proof transcription. The enumeration is exponential by design and
+// refuses to run past an explicit evaluation budget; it is only meaningful
+// for scenarios with a handful of candidates and single-digit charger
+// budgets.
+//
+// Extract is the reference PDCS extraction: the candidate pipeline before
+// its spatial prefilters, batched line of sight, pooling, and streaming
+// reduction, with every one of those off. pdcs.Extract must reproduce it
+// bit for bit (the bit-identity wall in internal/pdcs), and hipobench times
+// it as the baseline arm.
 package oracle
 
 import (

@@ -1,76 +1,21 @@
 package pdcs
 
 import (
-	"math"
 	"time"
 
 	"hipo/internal/discretize"
-	"hipo/internal/geom"
-	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/schedule"
 )
 
-// TaskOutput is the result of one distributed PDCS extraction task
-// (Algorithm 4): candidate strategies generated from one device's
-// neighbor-set workload across all charger types, plus the measured serial
-// duration used for makespan simulation (zero with a nil cfg.Clock).
-type TaskOutput struct {
-	Device     int
-	Candidates []Candidate
-	Duration   time.Duration
-}
-
-// RunTask executes the distributed-extraction task for device i: for every
-// charger type, generate device i's own critical positions plus the pair
-// constructions with larger-indexed neighbors, and sweep each position
-// (Algorithm 4 delegates to Algorithms 1 and 2). gens caches one Generator
-// per charger type.
-func RunTask(sc *model.Scenario, gens []*discretize.Generator, i int, cfg Config) TaskOutput {
-	return runTask(sc, gens, newEligibleCaches(sc, cfg), i, cfg)
-}
-
-func newEligibleCaches(sc *model.Scenario, cfg Config) []*eligibleCache {
-	caches := make([]*eligibleCache, len(sc.ChargerTypes))
-	for q := range caches {
-		caches[q] = newEligibleCache(sc, q, cfg)
-		caches[q].tracer = cfg.Tracer
-	}
-	return caches
-}
-
-// runTask is RunTask against shared per-type eligibility caches, so a
-// whole distributed run reuses one power-level table, device grid, and
-// viewpoint tiling per charger type instead of rebuilding them per task.
-func runTask(sc *model.Scenario, gens []*discretize.Generator, caches []*eligibleCache, i int, cfg Config) TaskOutput {
-	var start time.Time
-	if cfg.Clock != nil {
-		start = cfg.Clock()
-	}
-	var cands []Candidate
-	for q := range sc.ChargerTypes {
-		pts := discretize.Dedup(gens[q].TaskPositions(i))
-		pts = gens[q].FilterUseful(pts)
-		ar, _ := caches[q].getArena()
-		scr := sweepScratch{ar: ar}
-		for _, p := range pts {
-			cands = sweepPointAppend(sc, q, p, caches[q], &scr, cands)
-		}
-		caches[q].putArena(ar)
-	}
-	var dur time.Duration
-	if cfg.Clock != nil {
-		dur = cfg.Clock().Sub(start)
-	}
-	return TaskOutput{Device: i, Candidates: cands, Duration: dur}
-}
-
 // DistStats reports the timing of a distributed extraction run.
 type DistStats struct {
-	// TaskSeconds[i] is task i's cost: the measured serial duration when
-	// cfg.Clock is set, otherwise the deterministic TaskCost estimate from
-	// internal/discretize (arbitrary units) — the same cost model that
-	// ordered the worker pool's hand-out.
+	// TaskSeconds[i] is task i's cost: the measured duration when cfg.Clock
+	// is set — the task's position generation plus the sweep of the
+	// positions it produced first, summed over charger types — otherwise
+	// the deterministic TaskCost estimate from internal/discretize
+	// (arbitrary units), the same cost model that ordered the worker pool's
+	// hand-out.
 	TaskSeconds []float64
 	// SerialSeconds is Σ TaskSeconds: the non-distributed cost of the
 	// parallel-processing part.
@@ -80,14 +25,12 @@ type DistStats struct {
 	MakespanSeconds map[int]float64
 }
 
-// ExtractDistributed implements Algorithm 5: it splits PDCS extraction into
-// per-device tasks, runs them on a worker pool of size workers (0 =
-// serial measurement only), and simulates the LPT makespan for every
-// machine count in machineCounts. When the number of machines is at least
-// the number of devices, each task gets its own machine, as in Algorithm 5
-// line 1. Candidates are merged per charger type in task order — so output
-// is independent of worker count and hand-out order — deduplicated, and
-// dominance-filtered.
+// ExtractDistributed implements Algorithm 5: it runs PDCS extraction as
+// per-device tasks (Algorithm 4) on a worker pool of size workers (0 =
+// serial measurement only) and simulates the LPT makespan for every
+// machine count in machineCounts. Extraction runs through Extract's pipeline with one sweep block
+// per task, so the candidates are bit-for-bit Extract's for every charger
+// type, independent of worker count and hand-out order.
 //
 // One cost model drives all scheduling: discretize.TaskCost summed across
 // charger types orders the live pool's hand-out (LPT), and the same
@@ -95,46 +38,41 @@ type DistStats struct {
 // durations.
 func ExtractDistributed(sc *model.Scenario, cfg Config, workers int, machineCounts []int) ([][]Candidate, DistStats) {
 	sc = cfg.ensureVisibility(sc)
-	no := len(sc.Devices)
-	gens := make([]*discretize.Generator, len(sc.ChargerTypes))
-	dcfg := discretize.Config{
-		Eps1:                  cfg.Eps1,
-		SkipPairConstructions: cfg.SkipPairConstructions,
-		NoPairPruning:         cfg.NoPairPruning,
-		BruteForceVisibility:  cfg.BruteForceVisibility,
-		Tracer:                cfg.Tracer,
-	}
-	for q := range gens {
-		gens[q] = discretize.NewGenerator(sc, q, dcfg)
-	}
-	caches := newEligibleCaches(sc, cfg)
 	if workers <= 0 {
 		workers = 1
 	}
+	cfg.Workers = workers
+	no := len(sc.Devices)
+	gens := make([]*discretize.Generator, len(sc.ChargerTypes))
 	est := make([]schedule.Task, no)
 	for i := range est {
-		cost := 0.0
-		for q := range gens {
-			cost += gens[q].TaskCost(i)
-		}
-		est[i] = schedule.Task{ID: i, Duration: cost}
+		est[i].ID = i
 	}
-	// Distributed tasks interleave discretization and sweeping per device, so
-	// the whole fan-out is one pdcs span rather than per-stage spans.
-	endSweep := cfg.Tracer.StartStage(hipotrace.StagePDCS, "distributed")
-	outs := schedule.RunPoolOrdered(no, workers, schedule.LPTOrder(est), func(i int) TaskOutput {
-		return runTask(sc, gens, caches, i, cfg)
-	})
-	endSweep()
+	for q := range gens {
+		gens[q] = discretize.NewGenerator(sc, q, cfg.discretize(workers))
+		for i := range est {
+			est[i].Duration += gens[q].TaskCost(i)
+		}
+	}
+	order := schedule.LPTOrder(est)
+	out := make([][]Candidate, len(gens))
+	measured := make([]time.Duration, no)
+	for q := range gens {
+		var dur []time.Duration
+		out[q], dur = pipeline(sc, q, gens[q], cfg, nil, order, cfg.Clock)
+		for i, d := range dur {
+			measured[i] += d
+		}
+	}
 
 	stats := DistStats{
 		TaskSeconds:     make([]float64, no),
 		MakespanSeconds: make(map[int]float64),
 	}
 	tasks := make([]schedule.Task, no)
-	for i, o := range outs {
+	for i := range tasks {
 		if cfg.Clock != nil {
-			stats.TaskSeconds[i] = o.Duration.Seconds()
+			stats.TaskSeconds[i] = measured[i].Seconds()
 		} else {
 			stats.TaskSeconds[i] = est[i].Duration
 		}
@@ -142,55 +80,9 @@ func ExtractDistributed(sc *model.Scenario, cfg Config, workers int, machineCoun
 		tasks[i] = schedule.Task{ID: i, Duration: stats.TaskSeconds[i]}
 	}
 	for _, m := range machineCounts {
-		if m >= no {
-			// One task per machine: makespan is the longest task.
-			longest := 0.0
-			for _, t := range tasks {
-				if t.Duration > longest {
-					longest = t.Duration
-				}
-			}
-			stats.MakespanSeconds[m] = longest
-			continue
-		}
+		// With m ≥ No machines LPT gives every task its own machine, so the
+		// makespan is the longest task (Algorithm 5 line 1).
 		stats.MakespanSeconds[m] = schedule.LPT(tasks, m).Makespan()
 	}
-
-	// Merge per charger type, deduplicate positions produced by distinct
-	// tasks, and dominance-filter.
-	byType := make([][]Candidate, len(sc.ChargerTypes))
-	for _, o := range outs {
-		for _, c := range o.Candidates {
-			byType[c.S.Type] = append(byType[c.S.Type], c)
-		}
-	}
-	for q := range byType {
-		cfg.Tracer.Add(hipotrace.CtrCandidatesRaw, int64(len(byType[q])))
-		byType[q] = dedupCandidates(byType[q])
-		if !cfg.SkipDominanceFilter {
-			byType[q] = FilterDominated(byType[q], no)
-		}
-		cfg.Tracer.Add(hipotrace.CtrCandidatesKept, int64(len(byType[q])))
-		// Survivors escape to the caller; detach them from the task arenas.
-		detachCovers(byType[q])
-	}
-	return byType, stats
-}
-
-// dedupCandidates removes candidates with near-identical strategies using
-// quantized (position, orientation) keys.
-func dedupCandidates(cands []Candidate) []Candidate {
-	type key struct{ x, y, o int64 }
-	seen := make(map[key]bool, len(cands))
-	quant := func(v float64) int64 { return int64(math.Round(v / 1e-6)) }
-	out := cands[:0]
-	for i := range cands {
-		k := key{quant(cands[i].S.Pos.X), quant(cands[i].S.Pos.Y), quant(geom.NormAngle(cands[i].S.Orient))}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, cands[i])
-	}
-	return out
+	return out, stats
 }

@@ -5,67 +5,63 @@ import (
 	"testing"
 	"time"
 
-	"hipo/internal/discretize"
 	"hipo/internal/geom"
 	"hipo/internal/model"
 )
 
-func TestRunTaskCoversOwnDevice(t *testing.T) {
-	sc := ringScenario()
-	cfg := Config{Eps1: 0.4}
-	gens := []*discretize.Generator{
-		discretize.NewGenerator(sc, 0, discretize.Config{Eps1: cfg.Eps1}),
+// candidatesEqual reports whether two per-type candidate sets agree bit for
+// bit: same order, strategies, coverage lists, and Float64bits throughout.
+func candidatesEqual(a, b [][]Candidate) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	out := RunTask(sc, gens, 0, cfg)
-	if out.Device != 0 {
-		t.Errorf("device = %d", out.Device)
-	}
-	if len(out.Candidates) == 0 {
-		t.Fatal("task produced no candidates")
-	}
-	found := false
-	for _, c := range out.Candidates {
-		for _, dp := range c.Covers {
-			if dp.Device == 0 {
-				found = true
+	for q := range a {
+		if len(a[q]) != len(b[q]) {
+			return false
+		}
+		for i := range a[q] {
+			x, y := a[q][i], b[q][i]
+			if math.Float64bits(x.S.Pos.X) != math.Float64bits(y.S.Pos.X) ||
+				math.Float64bits(x.S.Pos.Y) != math.Float64bits(y.S.Pos.Y) ||
+				math.Float64bits(x.S.Orient) != math.Float64bits(y.S.Orient) ||
+				x.S.Type != y.S.Type || len(x.Covers) != len(y.Covers) {
+				return false
+			}
+			for m := range x.Covers {
+				if x.Covers[m].Device != y.Covers[m].Device ||
+					math.Float64bits(x.Covers[m].Power) != math.Float64bits(y.Covers[m].Power) {
+					return false
+				}
 			}
 		}
 	}
-	if !found {
-		t.Error("task for device 0 never covers device 0")
-	}
+	return true
+}
+
+// distScenario extends the ring with a wall and a second, wider charger
+// type, so tasks overlap, occlusion matters, and dedup crosses tasks.
+func distScenario() *model.Scenario {
+	sc := ringScenario()
+	sc.Obstacles = []model.Obstacle{{Shape: geom.Rect(22, 18, 23, 22)}}
+	sc.ChargerTypes = append(sc.ChargerTypes, model.ChargerType{
+		Name: "c2", Alpha: math.Pi, DMin: 0.5, DMax: 6, Count: 1,
+	})
+	sc.Power = append(sc.Power, []model.PowerParams{{A: 120, B: 48}})
+	return sc
 }
 
 func TestExtractDistributedMatchesSerialUnion(t *testing.T) {
-	sc := ringScenario()
-	cfg := Config{Eps1: 0.4, Clock: time.Now}
-	serial := Extract(sc, 0, cfg)
-	dist, stats := ExtractDistributed(sc, cfg, 4, []int{1, 2, 4})
-	if len(dist) != 1 {
-		t.Fatalf("per-type buckets = %d", len(dist))
-	}
-	// The distributed extraction must reach the same best coverage quality:
-	// compare the maximum covered-set size and maximum total power.
-	maxCover := func(cs []Candidate) (int, float64) {
-		n, p := 0, 0.0
-		for _, c := range cs {
-			if len(c.Covers) > n {
-				n = len(c.Covers)
-			}
-			if tp := c.TotalPower(); tp > p {
-				p = tp
+	for _, sc := range []*model.Scenario{ringScenario(), distScenario()} {
+		serial := ExtractAll(sc, Config{Eps1: 0.4})
+		for _, workers := range []int{1, 3, 8} {
+			dist, _ := ExtractDistributed(sc, Config{Eps1: 0.4, Clock: time.Now}, workers, nil)
+			if !candidatesEqual(serial, dist) {
+				t.Fatalf("%d types, workers=%d: distributed candidates differ from ExtractAll", len(sc.ChargerTypes), workers)
 			}
 		}
-		return n, p
 	}
-	sn, sp := maxCover(serial)
-	dn, dp := maxCover(dist[0])
-	if dn < sn {
-		t.Errorf("distributed best cover %d below serial %d", dn, sn)
-	}
-	if dp < sp-1e-12 {
-		t.Errorf("distributed best power %v below serial %v", dp, sp)
-	}
+	sc := ringScenario()
+	_, stats := ExtractDistributed(sc, Config{Eps1: 0.4, Clock: time.Now}, 4, []int{1, 2, 4})
 	// Timing stats are self-consistent.
 	if len(stats.TaskSeconds) != len(sc.Devices) {
 		t.Errorf("task seconds = %d entries", len(stats.TaskSeconds))
@@ -102,16 +98,6 @@ func TestExtractDistributedManyMachines(t *testing.T) {
 	if math.Abs(stats.MakespanSeconds[100]-longest) > 1e-12 {
 		t.Errorf("m≥No makespan should equal longest task: %v vs %v",
 			stats.MakespanSeconds[100], longest)
-	}
-}
-
-func TestDedupCandidates(t *testing.T) {
-	a := Candidate{S: model.Strategy{Pos: geom.V(1, 2), Orient: 0.5, Type: 0}}
-	b := Candidate{S: model.Strategy{Pos: geom.V(1, 2), Orient: 0.5, Type: 0}}
-	c := Candidate{S: model.Strategy{Pos: geom.V(1, 2), Orient: 0.7, Type: 0}}
-	out := dedupCandidates([]Candidate{a, b, c})
-	if len(out) != 2 {
-		t.Errorf("dedup kept %d, want 2", len(out))
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"hipo/internal/corpus"
 	"hipo/internal/expt"
 	"hipo/internal/model"
+	"hipo/internal/oracle"
 	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/visindex"
@@ -25,10 +26,11 @@ import (
 // extraction's ε₁ exactly like the solver does.
 const wallEps = 0.3
 
-// seedConfig selects the faithfully preserved pre-overhaul pipeline: full
-// device scans, per-ray grid walks, fresh allocations.
-func seedConfig(eps1 float64) pdcs.Config {
-	return pdcs.Config{Eps1: eps1, Workers: 1, NoPairPruning: true, NoBatchedLOS: true}
+// reference runs the pre-overhaul pipeline preserved in internal/oracle
+// (full device scans, per-ray grid walks, fresh allocations) on a fresh
+// clone with its own visibility index.
+func reference(sc *model.Scenario, eps1 float64) [][]pdcs.Candidate {
+	return oracle.ExtractAll(visindex.Ensure(sc.Clone()), eps1, nil)
 }
 
 // extractWith runs ExtractAll on a fresh clone with its own visibility
@@ -86,7 +88,7 @@ func TestBitIdentityWall(t *testing.T) {
 					t.Fatal(err)
 				}
 				seen[hash] = true
-				ref := extractWith(sc, seedConfig(eps1))
+				ref := reference(sc, eps1)
 				for _, w := range []int{1, 4} {
 					got := extractWith(sc, pdcs.Config{Eps1: eps1, Workers: w})
 					if !candidatesBitIdentical(ref, got) {
@@ -109,7 +111,7 @@ func TestBitIdentityWall(t *testing.T) {
 func TestExtractRaceHammer(t *testing.T) {
 	sc := expt.BenchScenario(3, 12, 2)
 	eps1 := power.Eps1ForEps(wallEps)
-	ref := extractWith(sc, seedConfig(eps1))
+	ref := reference(sc, eps1)
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	for _, procs := range []int{1, 2, 8} {

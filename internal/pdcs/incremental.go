@@ -1,27 +1,21 @@
 package pdcs
 
 import (
-	"runtime"
-
 	"hipo/internal/geom"
 	"hipo/internal/model"
-	"hipo/internal/schedule"
 )
 
-// Sweeper exposes the overhauled per-position Algorithm 1 sweep for
-// incremental re-extraction (internal/incremental): one eligibility cache —
-// device grid, viewpoint tiling, pooled arenas — shared across calls, with
-// per-position outputs that are safe to cache across solves.
+// Sweeper exposes the per-position Algorithm 1 sweep on its own: one
+// eligibility cache — device grid, viewpoint tiling, pooled arenas — shared
+// across calls, with per-position outputs that are safe to keep.
 //
 // Contract: a position's sweep output is a pure function of (scenario
 // geometry within DMax of the position, charger type, eps1). SweepPositions
 // therefore returns, for any subset of positions, exactly the candidates
 // Extract would produce for those positions, bit for bit — the accelerators
 // only prune provably ineligible devices and are re-checked by the exact
-// predicates. The bit-identity wall in extract_test.go pins this.
+// predicates. The tests in incremental_test.go pin this.
 type Sweeper struct {
-	sc    *model.Scenario
-	q     int
 	cfg   Config
 	cache *eligibleCache
 }
@@ -31,9 +25,7 @@ type Sweeper struct {
 // clone otherwise.
 func NewSweeper(sc *model.Scenario, q int, cfg Config) *Sweeper {
 	sc = cfg.ensureVisibility(sc)
-	cache := newEligibleCache(sc, q, cfg)
-	cache.tracer = cfg.Tracer
-	return &Sweeper{sc: sc, q: q, cfg: cfg, cache: cache}
+	return &Sweeper{cfg: cfg, cache: newEligibleCache(sc, q, cfg.Eps1, cfg.Tracer)}
 }
 
 // SweepPositions sweeps the given positions with the configured worker count
@@ -41,51 +33,19 @@ func NewSweeper(sc *model.Scenario, q int, cfg Config) *Sweeper {
 // returned candidate owns its Covers privately (detached from the sweep
 // arenas), so results may be cached and later re-fed to ReduceCandidates.
 func (s *Sweeper) SweepPositions(positions []geom.Vec) [][]Candidate {
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	const chunk = 256
-	nChunks := (len(positions) + chunk - 1) / chunk
-	perChunk := schedule.RunPool(nChunks, workers, func(ci int) [][]Candidate {
-		lo := ci * chunk
-		hi := min(lo+chunk, len(positions))
-		ar, _ := s.cache.getArena()
-		scr := sweepScratch{ar: ar}
-		out := make([][]Candidate, 0, hi-lo)
-		var buf []Candidate
-		for i := lo; i < hi; i++ {
-			start := len(buf)
-			buf = sweepPointAppend(s.sc, s.q, positions[i], s.cache, &scr, buf)
-			cs := append([]Candidate(nil), buf[start:]...)
-			detachCovers(cs)
-			out = append(out, cs)
-		}
-		s.cache.putArena(ar)
-		return out
-	})
-	out := make([][]Candidate, 0, len(positions))
-	for _, cs := range perChunk {
-		out = append(out, cs...)
-	}
-	return out
+	perPos := make([][]Candidate, len(positions))
+	s.cache.sweepBlocks(positions, chunkBounds(len(positions)), nil, s.cfg.workers(), perPos, nil)
+	return perPos
 }
 
-// ReduceCandidates runs the identical reduction tail of Extract — the
-// streaming reducer in position order, then the exact global dominance
-// filter — over per-position candidate lists. Feeding the per-position
-// outputs of SweepPositions (cached or fresh) in Extract's position order
-// reproduces Extract's survivors bit for bit. The returned candidates own
-// their Covers privately, so callers may mutate cached inputs afterwards
-// (e.g. remapping device indices) without aliasing the result.
+// ReduceCandidates runs Extract's reduction tail — the streaming reducer in
+// position order, then the exact global dominance filter — over
+// per-position candidate lists. Feeding the per-position outputs of
+// SweepPositions in Extract's position order reproduces Extract's
+// survivors bit for bit. The returned candidates own their Covers
+// privately, so callers may mutate the inputs afterwards without aliasing
+// the result.
 func ReduceCandidates(perPos [][]Candidate, no int) []Candidate {
-	red := newStreamReducer(no)
-	for _, cs := range perPos {
-		for i := range cs {
-			red.add(cs[i])
-		}
-	}
-	kept := FilterDominated(red.final(), no)
-	detachCovers(kept)
+	kept, _ := reduce(perPos, no)
 	return kept
 }

@@ -141,7 +141,7 @@ func TestMetamorphicDevicePermutationEquivariance(t *testing.T) {
 					cov = append(cov, dv{dev, math.Float64bits(dp.Power)})
 				}
 				sort.Slice(cov, func(a, b int) bool { return cov[a].dev < cov[b].dev })
-				// Quantize the position at the discretize.Dedup tolerance:
+				// Quantize the position at the discretize dedup tolerance:
 				// when several near-identical ring intersections fall in one
 				// 1e-6 bucket, the deduper keeps whichever was generated
 				// first, and generation order follows device order.
@@ -191,7 +191,7 @@ func TestPairsPrunedCounter(t *testing.T) {
 	if got := tr.Breakdown().Counters["pairs_pruned"]; got == 0 {
 		t.Fatal("pairs_pruned = 0 on a spread-out field, pruning never engaged")
 	}
-	ref := extractWith(spread, seedConfig(eps1))
+	ref := reference(spread, eps1)
 	if !candidatesBitIdentical(ref, pruned) {
 		t.Fatal("pruned extraction diverged from seed pipeline on the spread field")
 	}

@@ -20,7 +20,6 @@ import (
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/power"
-	"hipo/internal/schedule"
 	"hipo/internal/visindex"
 )
 
@@ -56,14 +55,6 @@ type eligible struct {
 	pw     float64 // approximated charging power
 }
 
-// EligibleAt returns the devices that a charger of type q at position p
-// could charge under some orientation: distance within [DMin, DMax], p
-// inside the device's receiving sector, and clear line of sight. The
-// returned powers use the piecewise approximation with parameter eps1.
-func EligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible {
-	return newEligibleCache(sc, q, Config{Eps1: eps1, NoPairPruning: true, NoBatchedLOS: true}).atSeed(p)
-}
-
 // prunePad widens the device-grid query radius past every exact-predicate
 // tolerance (the ±geom.Eps range gates), mirroring the padding contract of
 // internal/visindex: the grid may only over-approximate.
@@ -71,10 +62,9 @@ const prunePad = 1e-6
 
 // eligibleCache precomputes, per device type, the piecewise power levels
 // for one charger type so that eligibility checks at thousands of candidate
-// positions avoid re-deriving them; with the spatial accelerators enabled
-// it also carries the device grid that prunes each position's device scan
-// and the viewpoint tiling that batches its line-of-sight rays. Safe for
-// concurrent use.
+// positions avoid re-deriving them; it also carries the device grid that
+// prunes each position's device scan and the viewpoint tiling that batches
+// its line-of-sight rays. Safe for concurrent use.
 type eligibleCache struct {
 	sc     *model.Scenario
 	q      int
@@ -93,23 +83,23 @@ type eligibleCache struct {
 	cosHalf []float64
 
 	// dgrid narrows each position's device scan to the cells overlapping
-	// its d_max disk (nil under NoPairPruning).
+	// its d_max disk.
 	dgrid *visindex.DeviceGrid
 	// vpg answers LOS rays through memoized per-tile viewpoint batches: one
 	// obstacle collection per tile of positions instead of one DDA walk per
-	// ray (nil under NoBatchedLOS, brute-force visibility, or no obstacles).
+	// ray (nil under brute-force visibility or without obstacles).
 	vpg    *visindex.ViewpointGrid
 	elPool sync.Pool // *[]eligible
 	arPool sync.Pool // *covArena
 }
 
-func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
+func newEligibleCache(sc *model.Scenario, q int, eps1 float64, tr *hipotrace.Tracer) *eligibleCache {
 	ct := sc.ChargerTypes[q]
-	c := &eligibleCache{sc: sc, q: q, ct: ct}
+	c := &eligibleCache{sc: sc, q: q, ct: ct, tracer: tr}
 	levels := int64(0)
 	for t := range sc.DeviceTypes {
 		pp := sc.Power[q][t]
-		c.levels = append(c.levels, power.NewLevels(pp.A, pp.B, ct.DMin, ct.DMax, cfg.Eps1))
+		c.levels = append(c.levels, power.NewLevels(pp.A, pp.B, ct.DMin, ct.DMax, eps1))
 		levels += int64(c.levels[t].NumBands())
 	}
 	c.powerLevels = levels
@@ -123,10 +113,8 @@ func newEligibleCache(sc *model.Scenario, q int, cfg Config) *eligibleCache {
 	for t := range sc.DeviceTypes {
 		c.cosHalf[t] = math.Cos(sc.DeviceTypes[t].Alpha / 2)
 	}
-	if !cfg.NoPairPruning && len(sc.Devices) > 0 {
-		c.dgrid = visindex.NewDeviceGrid(pts, ct.DMax/2)
-	}
-	if !cfg.NoBatchedLOS && len(sc.Obstacles) > 0 {
+	c.dgrid = visindex.NewDeviceGrid(pts, ct.DMax/2)
+	if len(sc.Obstacles) > 0 {
 		if ix, ok := sc.AttachedVisibilityIndex().(*visindex.Index); ok {
 			c.vpg = ix.NewViewpointGrid(ct.DMax+prunePad, pts)
 		}
@@ -197,8 +185,7 @@ func (c *eligibleCache) tileDevices(center geom.Vec, slack float64) []int32 {
 
 // getEl / putEl pool the per-position eligibility slices. A slice is
 // returned to the pool by sweepPointAppend once its contents have been
-// copied into candidate Covers; EligibleAt's public result is simply never
-// returned, which is safe (the pool just doesn't see it again).
+// copied into candidate Covers.
 func (c *eligibleCache) getEl() (out []eligible, reused bool) {
 	if v := c.elPool.Get(); v != nil {
 		return (*v.(*[]eligible))[:0], true
@@ -213,23 +200,19 @@ func (c *eligibleCache) putEl(el []eligible) {
 	c.elPool.Put(&el)
 }
 
-// rangeGates returns the squared charging-range gates with the ±geom.Eps
-// tolerances baked in, shared by the seed and overhauled scans.
-func (c *eligibleCache) rangeGates() (dmin2, dmax2 float64) {
+// at returns the devices that a charger of this type at position p could
+// charge under some orientation: distance within [DMin, DMax], p inside
+// the device's receiving sector, and clear line of sight, in ascending
+// device order with their approximated powers.
+func (c *eligibleCache) at(p geom.Vec) []eligible {
+	los, batched, reuse := 0, 0, 0
 	ct := c.ct
-	dmin2 = (ct.DMin - geom.Eps) * (ct.DMin - geom.Eps)
+	// Squared charging-range gates with the ±geom.Eps tolerances baked in.
+	dmin2 := (ct.DMin - geom.Eps) * (ct.DMin - geom.Eps)
 	if ct.DMin < geom.Eps {
 		dmin2 = 0
 	}
-	dmax2 = (ct.DMax + geom.Eps) * (ct.DMax + geom.Eps)
-	return dmin2, dmax2
-}
-
-func (c *eligibleCache) at(p geom.Vec) []eligible {
-	los, batched, reuse := 0, 0, 0
-	sc := c.sc
-	ct := c.ct
-	dmin2, dmax2 := c.rangeGates()
+	dmax2 := (ct.DMax + geom.Eps) * (ct.DMax + geom.Eps)
 	var vp *visindex.Viewpoint
 	if c.vpg != nil {
 		vp = c.vpg.At(p)
@@ -238,8 +221,7 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 	if outReused {
 		reuse++
 	}
-	switch {
-	case c.dgrid != nil && vp != nil:
+	if vp != nil {
 		// Tile-pruned scan: the per-tile device prefilter is computed once
 		// per viewpoint tile and shared by every position swept inside it,
 		// in ascending index order like the full scan.
@@ -251,15 +233,13 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 		for _, j := range aux {
 			out, los, batched = c.tryDevice(out, int(j), p, dmin2, dmax2, vp, los, batched)
 		}
-	case c.dgrid != nil:
+	} else {
 		// Grid-pruned scan: only devices whose cell overlaps the d_max disk
 		// around p, visited in ascending index order like the full scan.
 		var maskBuf [4]uint64
-		mask := maskBuf[:]
+		mask := maskBuf[:min(c.dgrid.Words(), len(maskBuf))]
 		if w := c.dgrid.Words(); w > len(maskBuf) {
 			mask = make([]uint64, w)
-		} else {
-			mask = maskBuf[:w]
 		}
 		c.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
 		for w, m := range mask {
@@ -267,10 +247,6 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 				j := w*64 + bits.TrailingZeros64(m)
 				out, los, batched = c.tryDevice(out, j, p, dmin2, dmax2, vp, los, batched)
 			}
-		}
-	default:
-		for j := range sc.Devices {
-			out, los, batched = c.tryDevice(out, j, p, dmin2, dmax2, vp, los, batched)
 		}
 	}
 	c.tracer.Add(hipotrace.CtrLOSQueries, int64(los))
@@ -281,7 +257,7 @@ func (c *eligibleCache) at(p geom.Vec) []eligible {
 
 // tryDevice applies the exact eligibility predicates to device j and
 // appends it to out when chargeable from p. It is the single predicate
-// body behind both the full and grid-pruned scans, so the two paths can
+// body behind both the tile- and grid-pruned scans, so the two paths can
 // only differ in which provably-out-of-range devices they skip.
 func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax2 float64, vp *visindex.Viewpoint, los, batched int) ([]eligible, int, int) {
 	sc := c.sc
@@ -320,100 +296,27 @@ func (c *eligibleCache) tryDevice(out []eligible, j int, p geom.Vec, dmin2, dmax
 	return append(out, eligible{device: j, theta: delta.Angle(), pw: pw}), los, batched
 }
 
-// atSeed is the pre-overhaul eligibility scan, preserved verbatim as the
-// benchmark baseline arm and the reference side of the bit-identity test
-// wall: a full device scan with a fresh result slice and one independent
-// DDA grid walk per line-of-sight ray.
-func (c *eligibleCache) atSeed(p geom.Vec) []eligible {
-	los := 0
-	defer func() { c.tracer.Add(hipotrace.CtrLOSQueries, int64(los)) }()
-	sc := c.sc
-	dmin2, dmax2 := c.rangeGates()
-	var out []eligible
-	for j := range sc.Devices {
-		out, los, _ = c.tryDevice(out, j, p, dmin2, dmax2, nil, los, 0)
-	}
-	return out
-}
-
-// sweepPointSeed is the pre-overhaul Algorithm 1 sweep, preserved verbatim
-// alongside atSeed for the baseline arm: per-position signature map,
-// freshly allocated index sets, and a post-hoc sort of every candidate's
-// Covers.
-func sweepPointSeed(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCache) []Candidate {
-	el := cache.atSeed(p)
-	if len(el) == 0 {
-		return nil
-	}
-	ct := sc.ChargerTypes[q]
-	if ct.Alpha >= 2*math.Pi-geom.Eps {
-		// Omnidirectional charger: a single strategy covers everything.
-		return []Candidate{makeCandidateSeed(p, 0, q, el, allIdx(len(el)))}
-	}
-	half := ct.Alpha / 2
-
-	var cands []Candidate
-	seen := make(map[string]bool)
-	for _, e := range el {
-		phi := geom.NormAngle(e.theta + half)
-		var idx []int
-		for i, f := range el {
-			if geom.AbsAngleDiff(phi, f.theta) <= half+geom.Eps {
-				idx = append(idx, i)
-			}
-		}
-		sig := idxSignature(el, idx)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		cands = append(cands, makeCandidateSeed(p, phi, q, el, idx))
-	}
-	return filterLocalDominated(cands)
-}
-
-func idxSignature(el []eligible, idx []int) string {
-	buf := make([]byte, 0, len(idx)*4)
-	for _, i := range idx {
-		d := el[i].device
-		buf = append(buf, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-	}
-	return string(buf)
-}
-
-func makeCandidateSeed(p geom.Vec, phi float64, q int, el []eligible, idx []int) Candidate {
-	c := Candidate{S: model.Strategy{Pos: p, Orient: phi, Type: q}}
-	c.Covers = make([]DevPower, 0, len(idx))
-	for _, i := range idx {
-		c.Covers = append(c.Covers, DevPower{Device: el[i].device, Power: el[i].pw})
-	}
-	sort.Slice(c.Covers, func(a, b int) bool { return c.Covers[a].Device < c.Covers[b].Device })
-	return c
-}
-
 // SweepPoint implements Algorithm 1: it rotates a charger of type q at
 // point p through 360° and returns one candidate per practical dominating
 // coverage set. Orientations are chosen at the critical positions where a
 // device is about to fall out of the charging sector.
 func SweepPoint(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []Candidate {
-	return sweepPointSeed(sc, q, p, newEligibleCache(sc, q, Config{Eps1: eps1, NoPairPruning: true, NoBatchedLOS: true}))
+	return sweepPointAppend(sc, q, p, newEligibleCache(sc, q, eps1, nil), &sweepScratch{ar: &covArena{}}, nil)
 }
 
-// sweepScratch carries the per-chunk reusable state of the overhauled
-// sweep: the orientation index scratch and the Covers arena. One scratch
-// serves every position of a sweep chunk, so per-position allocations
-// vanish entirely.
+// sweepScratch carries the per-block reusable state of the sweep: the
+// orientation index scratch and the Covers arena. One scratch serves every
+// position of a sweep block, so per-position allocations vanish entirely.
 type sweepScratch struct {
 	idx []int
 	ar  *covArena
 }
 
-// sweepPointAppend is the overhauled Algorithm 1 sweep: it appends point
-// p's candidates to buf and returns the extended slice. Output (order
-// included) is bit-for-bit identical to sweepPointSeed's; only the
-// bookkeeping differs — pooled eligibility slices, a shared index scratch,
-// direct cover comparisons instead of a per-position signature map, and
-// arena-carved Covers built in device order with no post-hoc sort.
+// sweepPointAppend is the Algorithm 1 sweep: it appends point p's
+// candidates to buf and returns the extended slice. Eligibility slices are
+// pooled, the index scratch is shared across a block, duplicate coverage
+// sets are found by direct comparison with the candidates already admitted
+// at p, and Covers are carved from the block's arena in device order.
 func sweepPointAppend(sc *model.Scenario, q int, p geom.Vec, cache *eligibleCache, scr *sweepScratch, buf []Candidate) []Candidate {
 	el := cache.at(p)
 	if len(el) == 0 {
@@ -480,10 +383,6 @@ func hasSameCover(cands []Candidate, el []eligible, idx []int) bool {
 	return false
 }
 
-func allIdx(n int) []int {
-	return allIdxInto(nil, n)
-}
-
 func allIdxInto(out []int, n int) []int {
 	out = out[:0]
 	for i := 0; i < n; i++ {
@@ -518,7 +417,7 @@ func filterLocalDominated(cands []Candidate) []Candidate {
 			// Signature dedup upstream guarantees distinct sets, so a
 			// subset with strictly smaller cardinality is a strict subset.
 			if len(cands[i].Covers) < len(cands[j].Covers) &&
-				coversSubset(cands[i].Covers, cands[j].Covers) {
+				covered(cands[i].Covers, cands[j].Covers, math.Inf(1)) {
 				dominated = true
 				break
 			}
@@ -530,9 +429,10 @@ func filterLocalDominated(cands []Candidate) []Candidate {
 	return out
 }
 
-// coversSubset reports whether a's device set is a subset of b's (both
-// sorted by device).
-func coversSubset(a, b []DevPower) bool {
+// covered reports whether b covers every device of a with at least a's
+// power less slack (both sorted by device). An infinite slack tests the
+// device sets alone.
+func covered(a, b []DevPower, slack float64) bool {
 	if len(a) > len(b) {
 		return false
 	}
@@ -541,7 +441,7 @@ func coversSubset(a, b []DevPower) bool {
 		for i < len(b) && b[i].Device < x.Device {
 			i++
 		}
-		if i >= len(b) || b[i].Device != x.Device {
+		if i >= len(b) || b[i].Device != x.Device || b[i].Power < x.Power-slack {
 			return false
 		}
 	}
@@ -550,102 +450,14 @@ func coversSubset(a, b []DevPower) bool {
 
 // Extract runs the full PDCS extraction for charger type q: candidate
 // positions from internal/discretize, Algorithm 1 at each (parallelized
-// over positions with cfg.Workers goroutines), then global dominance
-// filtering (Algorithm 2 step 9) unless cfg.SkipDominanceFilter. Results
-// are deterministic regardless of worker count: per-position outputs are
-// concatenated in position order.
+// over contiguous position chunks with cfg.Workers goroutines), then
+// global dominance filtering (Algorithm 2 step 9) unless
+// cfg.SkipDominanceFilter. Results are deterministic regardless of worker
+// count: chunk outputs are reduced in position order.
 //
 //hipo:hotpath
 func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
-	sc = cfg.ensureVisibility(sc)
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	tr := cfg.Tracer
-	label := typeLabel(q)
-	endDisc := tr.StartStage(hipotrace.StageDiscretize, label)
-	positions := discretize.CandidatePositions(sc, q, discretize.Config{
-		Eps1:                  cfg.Eps1,
-		Workers:               workers,
-		SkipPairConstructions: cfg.SkipPairConstructions,
-		NoPairPruning:         cfg.NoPairPruning,
-		BruteForceVisibility:  cfg.BruteForceVisibility,
-		Tracer:                tr,
-	})
-	endDisc()
-	tr.Add(hipotrace.CtrCandidatePositions, int64(len(positions)))
-
-	endSweep := tr.StartStage(hipotrace.StagePDCS, label)
-	defer endSweep()
-	cache := newEligibleCache(sc, q, cfg)
-	cache.tracer = tr
-	tr.Add(hipotrace.CtrPowerLevels, cache.powerLevels)
-	// With every accelerator disabled, run the preserved pre-overhaul
-	// pipeline: per-position sweeps, full concatenation, then the global
-	// dominance filter. That combination is the benchmark baseline arm and
-	// must reproduce the seed pipeline faithfully, costs included. Its
-	// output is bit-for-bit identical to the overhauled path below (the
-	// bit-identity wall checks this).
-	if cfg.NoPairPruning && cfg.NoBatchedLOS {
-		perPos := schedule.RunPool(len(positions), workers, func(i int) []Candidate {
-			return sweepPointSeed(sc, q, positions[i], cache)
-		})
-		var cands []Candidate
-		for _, cs := range perPos {
-			cands = append(cands, cs...)
-		}
-		tr.Add(hipotrace.CtrCandidatesRaw, int64(len(cands)))
-		if cfg.SkipDominanceFilter {
-			tr.Add(hipotrace.CtrCandidatesKept, int64(len(cands)))
-			return cands
-		}
-		kept := FilterDominated(cands, len(sc.Devices))
-		tr.Add(hipotrace.CtrCandidatesKept, int64(len(kept)))
-		return kept
-	}
-
-	// Overhauled arm: positions are swept in contiguous chunks (one output
-	// buffer, index scratch, and Covers arena per chunk), and the chunk
-	// outputs — concatenated in chunk order, which is position order — feed
-	// the streaming reducer before the exact dominance filter.
-	const sweepChunk = 256
-	nChunks := (len(positions) + sweepChunk - 1) / sweepChunk
-	perChunk := schedule.RunPool(nChunks, workers, func(ci int) []Candidate {
-		lo := ci * sweepChunk
-		hi := min(lo+sweepChunk, len(positions))
-		ar, reused := cache.getArena()
-		if reused {
-			tr.Add(hipotrace.CtrPoolReuse, 1)
-		}
-		scr := sweepScratch{ar: ar}
-		var buf []Candidate
-		for i := lo; i < hi; i++ {
-			buf = sweepPointAppend(sc, q, positions[i], cache, &scr, buf)
-		}
-		cache.putArena(ar)
-		return buf
-	})
-	if cfg.SkipDominanceFilter {
-		var cands []Candidate
-		for _, cs := range perChunk {
-			cands = append(cands, cs...)
-		}
-		tr.Add(hipotrace.CtrCandidatesRaw, int64(len(cands)))
-		tr.Add(hipotrace.CtrCandidatesKept, int64(len(cands)))
-		detachCovers(cands)
-		return cands
-	}
-	red := newStreamReducer(len(sc.Devices))
-	for _, cs := range perChunk {
-		for i := range cs {
-			red.add(cs[i])
-		}
-	}
-	tr.Add(hipotrace.CtrCandidatesRaw, int64(red.raw))
-	kept := FilterDominated(red.final(), len(sc.Devices))
-	tr.Add(hipotrace.CtrCandidatesKept, int64(len(kept)))
-	detachCovers(kept)
+	kept, _ := pipeline(cfg.ensureVisibility(sc), q, nil, cfg, nil, nil, nil)
 	return kept
 }
 
@@ -667,17 +479,6 @@ type Config struct {
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool
-	// NoPairPruning disables the spatial prefilters — the device grid that
-	// narrows neighbor sets, eligibility scans and usefulness tests, and
-	// the obstacle-box pruning in discretization. Output is bit-for-bit
-	// identical either way (the prefilters are conservative supersets
-	// re-checked by the exact predicates); this is the benchmark baseline
-	// arm and the reference side of the bit-identity test wall.
-	NoPairPruning bool
-	// NoBatchedLOS disables per-viewpoint line-of-sight batching and
-	// answers every eligibility ray with an independent DDA grid walk.
-	// Same bit-identity contract as NoPairPruning.
-	NoBatchedLOS bool
 	// Clock, when non-nil, supplies the timestamps behind the per-task
 	// durations of DistStats (Algorithm 5's LPT simulation input). It is
 	// injected by measurement harnesses (internal/expt) so the extraction
@@ -688,6 +489,25 @@ type Config struct {
 	// pipeline counters of internal/hipotrace. Sweep hot paths count into
 	// locals and flush per call; a nil Tracer costs nothing.
 	Tracer *hipotrace.Tracer
+}
+
+// workers resolves the worker count (0 = GOMAXPROCS).
+func (cfg Config) workers() int {
+	if cfg.Workers > 0 {
+		return cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// discretize is the position-generation configuration matching cfg.
+func (cfg Config) discretize(workers int) discretize.Config {
+	return discretize.Config{
+		Eps1:                  cfg.Eps1,
+		Workers:               workers,
+		SkipPairConstructions: cfg.SkipPairConstructions,
+		BruteForceVisibility:  cfg.BruteForceVisibility,
+		Tracer:                cfg.Tracer,
+	}
 }
 
 // ensureVisibility attaches the spatial visibility index for this
@@ -743,7 +563,9 @@ func FilterDominated(cands []Candidate, no int) []Candidate {
 			if i == k || !bitsSubset(bits[i], bits[k]) {
 				continue
 			}
-			if powersDominated(cands[i].Covers, cands[k].Covers, cands[i].S.Type == cands[k].S.Type) {
+			// Strategies of different charger types occupy different matroid
+			// partitions and never dominate one another.
+			if cands[i].S.Type == cands[k].S.Type && covered(cands[i].Covers, cands[k].Covers, 1e-15) {
 				dominated = true
 				break
 			}
@@ -765,26 +587,6 @@ func FilterDominated(cands []Candidate, no int) []Candidate {
 func bitsSubset(a, b []uint64) bool {
 	for w := range a {
 		if a[w]&^b[w] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// powersDominated reports whether every covered power in a is ≤ the
-// corresponding power in b. sameType guards against comparing strategies of
-// different charger types, which occupy different matroid partitions and
-// must never dominate one another.
-func powersDominated(a, b []DevPower, sameType bool) bool {
-	if !sameType {
-		return false
-	}
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i].Device < x.Device {
-			i++
-		}
-		if i >= len(b) || b[i].Device != x.Device || b[i].Power < x.Power-1e-15 {
 			return false
 		}
 	}

@@ -34,9 +34,15 @@ func ringScenario() *model.Scenario {
 	return sc
 }
 
+// eligibleAt runs the production eligibility scan at p on an unindexed
+// scenario (grid-pruned device scan, per-ray line of sight).
+func eligibleAt(sc *model.Scenario, q int, p geom.Vec, eps1 float64) []eligible {
+	return newEligibleCache(sc, q, eps1, nil).at(p)
+}
+
 func TestEligibleAt(t *testing.T) {
 	sc := ringScenario()
-	el := EligibleAt(sc, 0, geom.V(20, 20), 0.4)
+	el := eligibleAt(sc, 0, geom.V(20, 20), 0.4)
 	if len(el) != 6 {
 		t.Fatalf("eligible = %d, want 6", len(el))
 	}
@@ -46,7 +52,7 @@ func TestEligibleAt(t *testing.T) {
 		}
 	}
 	// Out of range position.
-	if el := EligibleAt(sc, 0, geom.V(0, 0), 0.4); len(el) != 0 {
+	if el := eligibleAt(sc, 0, geom.V(0, 0), 0.4); len(el) != 0 {
 		t.Errorf("far position eligible = %d", len(el))
 	}
 }
@@ -55,14 +61,14 @@ func TestEligibleRespectsReceivingSector(t *testing.T) {
 	sc := ringScenario()
 	sc.DeviceTypes[0].Alpha = math.Pi / 2 // narrow receiving
 	// Devices face the center, so the center is eligible for all.
-	el := EligibleAt(sc, 0, geom.V(20, 20), 0.4)
+	el := eligibleAt(sc, 0, geom.V(20, 20), 0.4)
 	if len(el) != 6 {
 		t.Fatalf("center eligible = %d, want 6", len(el))
 	}
 	// A point behind device 0 (outside its receiving sector) must exclude
 	// device 0. Device 0 sits at (25,20) facing π (towards −x); a charger at
 	// (29,20) is behind it.
-	el = EligibleAt(sc, 0, geom.V(29, 20), 0.4)
+	el = eligibleAt(sc, 0, geom.V(29, 20), 0.4)
 	for _, e := range el {
 		if e.device == 0 {
 			t.Error("device 0 should not be eligible from behind")
@@ -74,7 +80,7 @@ func TestEligibleObstacle(t *testing.T) {
 	sc := ringScenario()
 	// Wall between center and device 0 at (25,20).
 	sc.Obstacles = []model.Obstacle{{Shape: geom.Rect(22, 18, 23, 22)}}
-	el := EligibleAt(sc, 0, geom.V(20, 20), 0.4)
+	el := eligibleAt(sc, 0, geom.V(20, 20), 0.4)
 	for _, e := range el {
 		if e.device == 0 {
 			t.Error("blocked device 0 should not be eligible")
@@ -109,7 +115,7 @@ func TestSweepPointMaximality(t *testing.T) {
 	for i := range cands {
 		for j := range cands {
 			if i != j && len(cands[i].Covers) < len(cands[j].Covers) &&
-				coversSubset(cands[i].Covers, cands[j].Covers) {
+				covered(cands[i].Covers, cands[j].Covers, math.Inf(1)) {
 				t.Errorf("candidate %d dominated by %d at same point", i, j)
 			}
 		}
@@ -192,8 +198,7 @@ func TestExtractEndToEnd(t *testing.T) {
 			if i == j {
 				continue
 			}
-			if coversSubset(cands[i].Covers, cands[j].Covers) &&
-				powersDominated(cands[i].Covers, cands[j].Covers, true) &&
+			if covered(cands[i].Covers, cands[j].Covers, 1e-15) &&
 				!sameCandidate(cands[i], cands[j]) {
 				t.Fatalf("candidate %d dominated by %d survived the filter", i, j)
 			}

@@ -133,7 +133,7 @@ func (r *streamReducer) reduce() {
 			y := &r.ents[k]
 			if y.cand.S.Type == x.cand.S.Type &&
 				bitsSubset(bx, r.bits[int(k)*w:int(k)*w+w]) &&
-				powersCoveredExact(x.cand.Covers, y.cand.Covers) {
+				covered(x.cand.Covers, y.cand.Covers, 0) {
 				dominated = true // rule 2: y sorted strictly before x
 				break
 			}
@@ -162,22 +162,6 @@ func (r *streamReducer) final() []Candidate {
 		out[i] = r.ents[i].cand
 	}
 	return out
-}
-
-// powersCoveredExact reports whether every covered power in a is ≤ the
-// corresponding power in b with zero tolerance — the slack-free counterpart
-// of powersDominated (the caller checks the device subset via bitsets).
-func powersCoveredExact(a, b []DevPower) bool {
-	i := 0
-	for _, x := range a {
-		for i < len(b) && b[i].Device < x.Device {
-			i++
-		}
-		if i >= len(b) || b[i].Device != x.Device || b[i].Power < x.Power {
-			return false
-		}
-	}
-	return true
 }
 
 // sameCoverAndType reports whether two candidates have the same charger

@@ -64,12 +64,8 @@ func TestGreedyVariantsAgreeOnValue(t *testing.T) {
 		inst := randomInstance(rng, 10, 40, 3)
 		g := GreedyGlobal(inst)
 		l := GreedyLazy(inst)
-		p := GreedyGlobalParallel(inst, 4)
 		if math.Abs(g.Value-l.Value) > 1e-9 {
 			t.Fatalf("trial %d: global %v vs lazy %v", trial, g.Value, l.Value)
-		}
-		if math.Abs(g.Value-p.Value) > 1e-9 {
-			t.Fatalf("trial %d: global %v vs parallel %v", trial, g.Value, p.Value)
 		}
 		// Evaluate must reproduce the reported value.
 		if math.Abs(Evaluate(inst, g.Selected)-g.Value) > 1e-9 {
@@ -340,18 +336,14 @@ func TestQuickEvaluateOrderInvariant(t *testing.T) {
 }
 
 func TestParallelArgmaxLargeInstance(t *testing.T) {
-	// Force the parallel path (≥256 elements) and verify agreement with the
-	// serial greedy, including deterministic tie-breaking.
+	// A 600-element instance: the value must be reproducible through
+	// Evaluate, and exact ties must go to the lowest element index.
 	rng := rand.New(rand.NewSource(123))
 	inst := randomInstance(rng, 20, 600, 3)
 	inst.Budget = []int{3, 3, 3}
 	serial := GreedyGlobal(inst)
-	parallel := GreedyGlobalParallel(inst, 8)
-	if math.Abs(serial.Value-parallel.Value) > 1e-9 {
-		t.Fatalf("serial %v != parallel %v", serial.Value, parallel.Value)
-	}
-	if len(serial.Selected) != len(parallel.Selected) {
-		t.Fatalf("selection sizes differ: %d vs %d", len(serial.Selected), len(parallel.Selected))
+	if math.Abs(Evaluate(inst, serial.Selected)-serial.Value) > 1e-9 {
+		t.Fatalf("Evaluate %v != reported %v", Evaluate(inst, serial.Selected), serial.Value)
 	}
 	// Duplicate elements create exact ties; tie-break must stay stable.
 	dup := &Instance{
@@ -364,19 +356,12 @@ func TestParallelArgmaxLargeInstance(t *testing.T) {
 		dup.Elements = append(dup.Elements, base)
 	}
 	s2 := GreedyGlobal(dup)
-	p2 := GreedyGlobalParallel(dup, 8)
-	for i := range s2.Selected {
-		if s2.Selected[i] != p2.Selected[i] {
-			t.Fatalf("tie-break differs at %d: %d vs %d", i, s2.Selected[i], p2.Selected[i])
-		}
+	if len(s2.Selected) == 0 {
+		t.Fatal("nothing selected from the duplicate instance")
 	}
-}
-
-func TestGreedyGlobalParallelDefaultWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	inst := randomInstance(rng, 10, 300, 2)
-	res := GreedyGlobalParallel(inst, 0) // 0 = GOMAXPROCS
-	if math.Abs(res.Value-GreedyGlobal(inst).Value) > 1e-9 {
-		t.Error("default-worker parallel diverges from serial")
+	for i, e := range s2.Selected {
+		if e != i {
+			t.Fatalf("tie-break picked element %d at step %d, want %d", e, i, i)
+		}
 	}
 }
