@@ -1,41 +1,27 @@
 // Command hipolint runs the repository's domain-aware static-analysis
-// suite (internal/lint): nine per-package analyzers (floatcmp, detrand,
+// suite (internal/lint) over the module, or a subset of its packages:
+// fifteen analyzers, from single-package checks (floatcmp, detrand,
 // wallclock, ctxflow, errdrop, anglesafe, mutexguard, nanflow, goroleak)
-// plus six whole-program analyzers built on the interprocedural
-// call-graph, effect-summary, and taint engines (hotpath, lockorder,
-// ctxprop, detorder, fpassoc, sharedwrite) — fifteen in all. It has two
-// modes:
-//
-// Standalone, over the whole module (or a subset of packages):
+// to whole-program ones built on the interprocedural call-graph,
+// effect-summary, and taint engines (hotpath, lockorder, ctxprop,
+// detorder, fpassoc, sharedwrite).
 //
 //	go run ./cmd/hipolint ./...
 //	go run ./cmd/hipolint -only floatcmp,errdrop ./internal/geom
-//	go run ./cmd/hipolint -only hotpath ./...        # whole-program only
+//	go run ./cmd/hipolint -only hotpath ./...
 //	go run ./cmd/hipolint -fix ./...                 # apply suggested fixes
 //	go run ./cmd/hipolint -format=sarif ./... > out.sarif
-//	go run ./cmd/hipolint -baseline .hipolint-baseline.json ./...
-//	go run ./cmd/hipolint -write-baseline .hipolint-baseline.json ./...
-//	go run ./cmd/hipolint -effect-report effects.json ./...
-//	go run ./cmd/hipolint -taint-report taint.json ./...
+//	go run ./cmd/hipolint -report hipolint.json ./...
 //
-// As a vet tool, speaking the go vet unit-checker protocol:
+// -report writes the hipolint-report/v1 JSON: every //hipo:hotpath root
+// with its effect and order verdicts, every bit-identity sink, the
+// //hipo:order-invariant inventory, and the determinism finding counts.
 //
-//	go build -o /tmp/hipolint ./cmd/hipolint
-//	go vet -vettool=/tmp/hipolint ./...
-//
-// Vet mode runs the per-package analyzers only: the unit-checker protocol
-// hands the tool one package at a time, so whole-program analyses cannot
-// see the call graph they need there.
-//
-// Package loading and per-package analysis run on a worker pool sized by
-// -parallel (default: GOMAXPROCS); output order is deterministic
-// regardless of worker scheduling.
-//
-// Exit status: 0 when no diagnostics, 1 (standalone) or 2 (vet mode) when
-// findings are reported, 2 on operational errors. Suppress individual
-// findings with `//lint:ignore <analyzer> <reason>` on or directly above
-// the flagged line; accept a batch of historical findings with a baseline
-// file (new findings still fail, and the baseline may only shrink).
+// Exit status: 0 when no diagnostics, 1 when any finding is reported, 2 on
+// operational errors. Malformed //lint:ignore and //hipo: directives are
+// findings whichever analyzers -only selects. Suppress an individual
+// finding with `//lint:ignore <analyzer> <reason>` on or directly above
+// the flagged line.
 package main
 
 import (
@@ -43,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"hipo/internal/lint"
@@ -56,42 +41,23 @@ func printf(w io.Writer, format string, args ...any) {
 }
 
 func main() {
-	// The go vet protocol probes the tool identity with -V=full and then
-	// invokes it with a single *.cfg argument per package.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		printVersion(os.Stdout)
-		return
-	}
-	// The go command also probes `-flags` for tool-specific flags it should
-	// forward; this suite defines none.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		printf(os.Stdout, "[]\n")
-		return
-	}
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(runVet(os.Args[1], os.Stderr))
-	}
-	os.Exit(runStandalone(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runStandalone loads the module around the working directory and applies
-// the suite to every listed package.
-func runStandalone(args []string, out, errw io.Writer) int {
+// run loads the module around the working directory and applies the
+// selected analyzers to every listed package.
+func run(args []string, out, errw io.Writer) int {
 	fs := flag.NewFlagSet("hipolint", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		only          = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		list          = fs.Bool("list", false, "list analyzers and exit")
-		fix           = fs.Bool("fix", false, "apply machine-suggested fixes to the source files")
-		formatName    = fs.String("format", "text", "output format: text or sarif")
-		baselinePath  = fs.String("baseline", "", "baseline file: only findings absent from it fail")
-		writeBaseline = fs.String("write-baseline", "", "snapshot current findings to this baseline file and exit")
-		effectReport  = fs.String("effect-report", "", "write the //hipo:hotpath effect-summary report (JSON) to this file")
-		taintReport   = fs.String("taint-report", "", "write the order-taint sink report (hipolint-taint/v1 JSON) to this file")
-		parallel      = fs.Int("parallel", runtime.GOMAXPROCS(0), "package loading / analysis worker count")
+		only       = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
+		list       = fs.Bool("list", false, "list analyzers and exit")
+		fix        = fs.Bool("fix", false, "apply machine-suggested fixes to the source files")
+		formatName = fs.String("format", "text", "output format: text or sarif")
+		reportPath = fs.String("report", "", "write the hot-root, sink and finding report ("+lint.ReportSchema+" JSON) to this file")
 	)
 	fs.Usage = func() {
-		printf(errw, "usage: hipolint [-only name,...] [-list] [-fix] [-format text|sarif] [-baseline file] [-write-baseline file] [-effect-report file] [-taint-report file] [-parallel n] [packages]\n")
+		printf(errw, "usage: hipolint [-only name,...] [-list] [-fix] [-format text|sarif] [-report file] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -99,10 +65,7 @@ func runStandalone(args []string, out, errw io.Writer) int {
 	}
 	if *list {
 		for _, a := range lint.Analyzers() {
-			printf(out, "%-10s [package] %s\n", a.Name, a.Doc)
-		}
-		for _, a := range lint.ProgramAnalyzers() {
-			printf(out, "%-10s [program] %s\n", a.Name, a.Doc)
+			printf(out, "%-11s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -110,48 +73,11 @@ func runStandalone(args []string, out, errw io.Writer) int {
 		printf(errw, "hipolint: unknown -format %q (want text or sarif)\n", *formatName)
 		return 2
 	}
-	analyzers, progAnalyzers, err := selectSuites(*only)
+	diags, analyzers, err := lintModule(*only, *reportPath, fs.Args())
 	if err != nil {
 		printf(errw, "hipolint: %v\n", err)
 		return 2
 	}
-	root, err := os.Getwd()
-	if err != nil {
-		printf(errw, "hipolint: %v\n", err)
-		return 2
-	}
-	pkgs, err := lint.LoadModuleParallel(".", fs.Args(), *parallel)
-	if err != nil {
-		printf(errw, "hipolint: %v\n", err)
-		return 2
-	}
-	diags, err := runPerPackage(pkgs, analyzers, *parallel)
-	if err != nil {
-		printf(errw, "hipolint: %v\n", err)
-		return 2
-	}
-	if len(progAnalyzers) > 0 || *effectReport != "" || *taintReport != "" {
-		prog := lint.BuildProgram(pkgs)
-		pds, err := lint.RunProgramAnalyzers(prog, progAnalyzers)
-		if err != nil {
-			printf(errw, "hipolint: %v\n", err)
-			return 2
-		}
-		diags = append(diags, pds...)
-		if *effectReport != "" {
-			if err := writeEffectReport(*effectReport, prog); err != nil {
-				printf(errw, "hipolint: %v\n", err)
-				return 2
-			}
-		}
-		if *taintReport != "" {
-			if err := writeTaintReport(*taintReport, prog); err != nil {
-				printf(errw, "hipolint: %v\n", err)
-				return 2
-			}
-		}
-	}
-	lint.SortDiagnostics(diags)
 
 	if *fix {
 		updated, dropped, err := lint.ApplyFixes(diags)
@@ -173,117 +99,61 @@ func runStandalone(args []string, out, errw io.Writer) int {
 		diags = unfixedDiagnostics(diags, dropped)
 	}
 
-	if *writeBaseline != "" {
-		b := lint.NewBaseline(diags, root)
-		if err := lint.WriteBaselineFile(*writeBaseline, b); err != nil {
-			printf(errw, "hipolint: %v\n", err)
-			return 2
+	if *formatName == "sarif" {
+		root, err := os.Getwd()
+		if err == nil {
+			err = lint.WriteSARIF(out, analyzers, diags, root)
 		}
-		printf(errw, "hipolint: wrote %d finding(s) to %s\n", len(b.Findings), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		b, err := lint.ReadBaselineFile(*baselinePath)
 		if err != nil {
 			printf(errw, "hipolint: %v\n", err)
 			return 2
 		}
-		var stale int
-		diags, stale = b.Filter(diags, root)
-		if stale > 0 {
-			printf(errw, "hipolint: %d baseline entr(y/ies) no longer produced; regenerate %s to ratchet down\n", stale, *baselinePath)
+	} else {
+		for _, d := range diags {
+			printf(out, "%s\n", d)
 		}
 	}
-
-	if *formatName == "sarif" {
-		if err := lint.WriteSARIF(out, analyzers, progAnalyzers, diags, root); err != nil {
-			printf(errw, "hipolint: %v\n", err)
-			return 2
-		}
-		if len(diags) > 0 {
-			return 1
-		}
-		return 0
+	if len(diags) > 0 {
+		return 1
 	}
-	exit := 0
-	for _, d := range diags {
-		printf(out, "%s\n", d)
-		exit = 1
-	}
-	return exit
+	return 0
 }
 
-// runPerPackage applies the per-package analyzers to every package on a
-// worker pool. Diagnostics come back concatenated in package order, so
-// the output is independent of worker scheduling.
-func runPerPackage(pkgs []*lint.Package, analyzers []*lint.Analyzer, workers int) ([]lint.Diagnostic, error) {
-	if len(analyzers) == 0 {
-		return nil, nil
+// lintModule loads the packages matching patterns, runs the analyzers
+// -only selects, and writes the report when reportPath is set.
+func lintModule(only, reportPath string, patterns []string) ([]lint.Diagnostic, []*lint.Analyzer, error) {
+	analyzers, err := selectAnalyzers(only)
+	if err != nil {
+		return nil, nil, err
 	}
-	perPkg := make([][]lint.Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	if workers > len(pkgs) {
-		workers = len(pkgs)
+	pkgs, err := lint.LoadModule(".", patterns)
+	if err != nil {
+		return nil, nil, err
 	}
-	if workers < 1 {
-		workers = 1
+	prog := lint.BuildProgram(pkgs)
+	diags, err := lint.Run(prog, analyzers)
+	if err != nil {
+		return nil, nil, err
 	}
-	idx := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range idx {
-				perPkg[i], errs[i] = lint.RunAnalyzers(pkgs[i], analyzers)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := range pkgs {
-		idx <- i
-	}
-	close(idx)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	var diags []lint.Diagnostic
-	for i := range pkgs {
-		if errs[i] != nil {
-			return nil, errs[i]
+	if reportPath != "" {
+		if err := writeReport(reportPath, prog); err != nil {
+			return nil, nil, err
 		}
-		diags = append(diags, perPkg[i]...)
 	}
-	return diags, nil
+	return diags, analyzers, nil
 }
 
-// writeEffectReport builds the hot-path effect report for prog and writes
-// it to path.
-func writeEffectReport(path string, prog *lint.Program) error {
+// writeReport builds the report for prog and writes it to path.
+func writeReport(path string, prog *lint.Program) error {
+	rep, err := lint.BuildReport(prog)
+	if err != nil {
+		return err
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	rep := lint.BuildEffectReport(prog)
-	if err := lint.WriteEffectReport(f, rep); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTaintReport builds the order-taint sink report for prog and writes
-// it to path.
-func writeTaintReport(path string, prog *lint.Program) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	rep, err := lint.BuildTaintReport(prog)
-	if err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := lint.WriteTaintReport(f, rep); err != nil {
+	if err := lint.WriteReport(f, rep); err != nil {
 		_ = f.Close()
 		return err
 	}
@@ -307,38 +177,19 @@ func unfixedDiagnostics(diags, dropped []lint.Diagnostic) []lint.Diagnostic {
 	return out
 }
 
-// selectAnalyzers resolves the -only flag to a subset of the per-package
-// suite; program-analyzer names are rejected here (runVet uses it).
+// selectAnalyzers resolves the -only flag; an empty flag selects the
+// whole suite.
 func selectAnalyzers(only string) ([]*lint.Analyzer, error) {
-	as, ps, err := selectSuites(only)
-	if err != nil {
-		return nil, err
-	}
-	if len(ps) > 0 {
-		return nil, fmt.Errorf("analyzer %q is whole-program only", ps[0].Name)
-	}
-	return as, nil
-}
-
-// selectSuites resolves the -only flag against both suites. An empty flag
-// selects everything.
-func selectSuites(only string) ([]*lint.Analyzer, []*lint.ProgramAnalyzer, error) {
 	if only == "" {
-		return lint.Analyzers(), lint.ProgramAnalyzers(), nil
+		return lint.Analyzers(), nil
 	}
 	var as []*lint.Analyzer
-	var ps []*lint.ProgramAnalyzer
 	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		if a := lint.ByName(name); a != nil {
-			as = append(as, a)
-			continue
+		a := lint.ByName(strings.TrimSpace(name))
+		if a == nil {
+			return nil, fmt.Errorf("unknown analyzer %q", strings.TrimSpace(name))
 		}
-		if p := lint.ProgramByName(name); p != nil {
-			ps = append(ps, p)
-			continue
-		}
-		return nil, nil, fmt.Errorf("unknown analyzer %q", name)
+		as = append(as, a)
 	}
-	return as, ps, nil
+	return as, nil
 }

@@ -31,12 +31,17 @@ func moduleRoot(t *testing.T) string {
 // of the test, so package patterns like ./... resolve the whole module.
 func chdirModuleRoot(t *testing.T) {
 	t.Helper()
-	root := moduleRoot(t)
+	chdir(t, moduleRoot(t))
+}
+
+// chdir moves the test into dir for the duration of the test.
+func chdir(t *testing.T, dir string) {
+	t.Helper()
 	wd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Chdir(root); err != nil {
+	if err := os.Chdir(dir); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -46,95 +51,72 @@ func chdirModuleRoot(t *testing.T) {
 	})
 }
 
+// hotRoots are the //hipo:hotpath roots the pipeline must keep annotated,
+// effect-clean and order-clean; the CI drift guard requires the same set.
+var hotRoots = []string{
+	"hipo/internal/pdcs.Extract",
+	"hipo/internal/pdcs.ExtractAll",
+	"hipo/internal/pdcs.pipeline",
+	"hipo/internal/discretize.CandidatePositions",
+	"hipo/internal/submodular.GreedyLazy",
+	"hipo/internal/submodular.GreedyLazyWarm",
+	"hipo/internal/visindex.Ensure",
+	"hipo/internal/visindex.(Index).NewViewpoint",
+}
+
 // TestSuiteCleanOnRepository is the acceptance gate: the full analyzer
-// suite must produce zero diagnostics on the repository's own tree.
+// suite must produce zero diagnostics on the repository's own tree, and
+// the report from the same run must pass every assertion the CI drift
+// guard makes.
 func TestSuiteCleanOnRepository(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the whole module; skipped in -short mode")
 	}
 	chdirModuleRoot(t)
-	report := filepath.Join(t.TempDir(), "effects.json")
-	taintPath := filepath.Join(t.TempDir(), "taint.json")
+	path := filepath.Join(t.TempDir(), "hipolint.json")
 	var out, errw bytes.Buffer
-	code := runStandalone([]string{"-effect-report", report, "-taint-report", taintPath, "./..."}, &out, &errw)
-	if code != 0 {
+	if code := run([]string{"-report", path, "./..."}, &out, &errw); code != 0 {
 		t.Errorf("hipolint ./... exited %d; diagnostics:\n%s%s", code, out.String(), errw.String())
 	}
-	// The same run must leave an effect report naming every annotated hot
-	// root as clean — the CI drift guard consumes exactly this file.
-	data, err := os.ReadFile(report)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("effect report not written: %v", err)
+		t.Fatalf("report not written: %v", err)
 	}
-	var rep struct {
-		Schema string `json:"schema"`
-		Roots  []struct {
-			Func  string `json:"func"`
-			Clean bool   `json:"clean"`
-		} `json:"roots"`
-	}
+	var rep lint.Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("effect report does not parse: %v", err)
+		t.Fatalf("report does not parse: %v", err)
 	}
-	if rep.Schema != lint.EffectReportSchema {
-		t.Errorf("report schema = %q, want %q", rep.Schema, lint.EffectReportSchema)
+	if rep.Schema != lint.ReportSchema {
+		t.Errorf("report schema = %q, want %q", rep.Schema, lint.ReportSchema)
 	}
 	roots := map[string]bool{}
 	for _, r := range rep.Roots {
 		roots[r.Func] = true
 		if !r.Clean {
-			t.Errorf("hot-path root %s is not clean", r.Func)
+			t.Errorf("hot-path root %s is not effect-clean: %v", r.Func, r.Effects)
+		}
+		if !r.OrderClean {
+			t.Errorf("hot-path root %s has order-tainted returns: %v", r.Func, r.OrderTaints)
 		}
 	}
-	for _, want := range []string{
-		"hipo/internal/pdcs.Extract",
-		"hipo/internal/pdcs.ExtractAll",
-		"hipo/internal/pdcs.pipeline",
-		"hipo/internal/discretize.CandidatePositions",
-		"hipo/internal/submodular.GreedyLazy",
-		"hipo/internal/visindex.Ensure",
-	} {
+	for _, want := range hotRoots {
 		if !roots[want] {
-			t.Errorf("effect report is missing hot-path root %s", want)
+			t.Errorf("report is missing hot-path root %s", want)
 		}
-	}
-	// The taint report from the same run must prove the bit-identity sinks
-	// clean and inventory the //hipo:order-invariant contracts.
-	tdata, err := os.ReadFile(taintPath)
-	if err != nil {
-		t.Fatalf("taint report not written: %v", err)
-	}
-	var trep struct {
-		Schema string `json:"schema"`
-		Sinks  []struct {
-			Kind  string `json:"kind"`
-			Clean bool   `json:"clean"`
-		} `json:"sinks"`
-		OrderInvariant []struct {
-			Func   string `json:"func"`
-			Reason string `json:"reason"`
-		} `json:"orderInvariant"`
-		Findings map[string]int `json:"findings"`
-	}
-	if err := json.Unmarshal(tdata, &trep); err != nil {
-		t.Fatalf("taint report does not parse: %v", err)
-	}
-	if trep.Schema != lint.TaintReportSchema {
-		t.Errorf("taint report schema = %q, want %q", trep.Schema, lint.TaintReportSchema)
 	}
 	clean := 0
-	for _, s := range trep.Sinks {
+	for _, s := range rep.Sinks {
 		if !s.Clean {
-			t.Errorf("taint report has a dirty %s sink", s.Kind)
+			t.Errorf("report has a dirty %s sink at %s:%d", s.Kind, s.File, s.Line)
 		} else {
 			clean++
 		}
 	}
 	if clean < 3 {
-		t.Errorf("taint report proves %d sinks clean, want at least 3", clean)
+		t.Errorf("report proves %d sinks clean, want at least 3", clean)
 	}
 	annotated := map[string]bool{}
-	for _, oi := range trep.OrderInvariant {
+	for _, oi := range rep.OrderInvariant {
 		annotated[oi.Func] = true
 		if oi.Reason == "" {
 			t.Errorf("order-invariant entry %s lost its reason", oi.Func)
@@ -144,9 +126,35 @@ func TestSuiteCleanOnRepository(t *testing.T) {
 		t.Errorf("order-invariant inventory %v is missing pdcs.(streamReducer).reduce", annotated)
 	}
 	for _, a := range []string{"detorder", "fpassoc", "sharedwrite"} {
-		if n := trep.Findings[a]; n != 0 {
-			t.Errorf("taint report counts %d surviving %s findings, want 0", n, a)
+		if n, ok := rep.Findings[a]; !ok || n != 0 {
+			t.Errorf("report counts %d surviving %s findings (present: %v), want 0", n, a, ok)
 		}
+	}
+}
+
+// TestOnlyStillValidatesDirectives: a malformed //hipo: directive is a
+// finding even when -only selects a single whole-program analyzer.
+func TestOnlyStillValidatesDirectives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a scratch module; skipped in -short mode")
+	}
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module scratch\n\ngo 1.22\n",
+		"a.go":   "package scratch\n\n// Hot is a hot-path root with a bad deny list.\n//\n//hipo:hotpath deny=bogus\nfunc Hot() int { return 1 }\n",
+	}
+	for name, src := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chdir(t, dir)
+	var out, errw bytes.Buffer
+	if code := run([]string{"-only", "hotpath", "./..."}, &out, &errw); code != 1 {
+		t.Errorf("-only hotpath exited %d, want 1; stdout:\n%s%s", code, out.String(), errw.String())
+	}
+	if !strings.Contains(out.String(), "lintdirective: //hipo:hotpath deny list") {
+		t.Errorf("output lacks the lintdirective finding:\n%s", out.String())
 	}
 }
 
@@ -158,7 +166,7 @@ func TestSARIFOutput(t *testing.T) {
 	}
 	chdirModuleRoot(t)
 	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-format=sarif", "./internal/model"}, &out, &errw); code != 0 {
+	if code := run([]string{"-format=sarif", "./internal/model"}, &out, &errw); code != 0 {
 		t.Fatalf("-format=sarif exited %d: %s", code, errw.String())
 	}
 	var log struct {
@@ -191,78 +199,27 @@ func TestSARIFOutput(t *testing.T) {
 	}
 }
 
-// TestBaselineGate: the committed baseline must verify cleanly against the
-// tree (exit 0), and an unknown-schema file must be rejected.
-func TestBaselineGate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads module export data; skipped in -short mode")
-	}
-	chdirModuleRoot(t)
-	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-baseline", ".hipolint-baseline.json", "./internal/model"}, &out, &errw); code != 0 {
-		t.Errorf("-baseline gate exited %d:\n%s%s", code, out.String(), errw.String())
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	errw.Reset()
-	if code := runStandalone([]string{"-baseline", bad, "./internal/model"}, &out, &errw); code != 2 {
-		t.Errorf("bad baseline schema exited %d, want 2", code)
-	}
-}
-
-// TestWriteBaselineSnapshot: -write-baseline on a clean package produces a
-// schema-tagged empty snapshot and exits 0.
-func TestWriteBaselineSnapshot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads module export data; skipped in -short mode")
-	}
-	chdirModuleRoot(t)
-	path := filepath.Join(t.TempDir(), "base.json")
-	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-write-baseline", path, "./internal/model"}, &out, &errw); code != 0 {
-		t.Fatalf("-write-baseline exited %d: %s", code, errw.String())
-	}
-	b, err := lint.ReadBaselineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 0 {
-		t.Errorf("snapshot has %d findings on a clean package, want 0", len(b.Findings))
-	}
-}
-
 func TestListAnalyzers(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-list"}, &out, &errw); code != 0 {
+	if code := run([]string{"-list"}, &out, &errw); code != 0 {
 		t.Fatalf("-list exited %d: %s", code, errw.String())
 	}
-	for _, name := range []string{"floatcmp", "detrand", "wallclock", "ctxflow", "errdrop", "anglesafe", "mutexguard", "nanflow", "goroleak"} {
-		if !strings.Contains(out.String(), name) {
+	for _, a := range lint.Analyzers() {
+		if name := a.Name; !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, out.String())
 		}
 	}
-	// Whole-program analyzers are listed too, tagged with their layer so
-	// users know they are unavailable under go vet.
-	for _, name := range []string{"hotpath", "lockorder", "ctxprop", "detorder", "fpassoc", "sharedwrite"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing program analyzer %q:\n%s", name, out.String())
-		}
-	}
-	for _, tag := range []string{"[package]", "[program]"} {
-		if !strings.Contains(out.String(), tag) {
-			t.Errorf("-list output missing layer tag %q:\n%s", tag, out.String())
-		}
-	}
 }
 
-func TestSelectAnalyzersRejectsProgramNames(t *testing.T) {
-	// The vet entry point can only run per-package analyzers; asking it for
-	// a whole-program one must fail loudly, not silently no-op.
-	if _, err := selectAnalyzers("hotpath"); err == nil || !strings.Contains(err.Error(), "whole-program") {
-		t.Errorf("selectAnalyzers(hotpath) = %v, want whole-program error", err)
+func TestSelectAnalyzersAcceptsProgramNames(t *testing.T) {
+	// Every analyzer runs over the whole loaded program, so whole-program
+	// names select like any other.
+	as, err := selectAnalyzers("hotpath, lockorder")
+	if err != nil {
+		t.Fatalf("selectAnalyzers(hotpath, lockorder) = %v, want success", err)
+	}
+	if len(as) != 2 || as[0].Name != "hotpath" || as[1].Name != "lockorder" {
+		t.Errorf("selectAnalyzers = %v, want [hotpath lockorder]", as)
 	}
 }
 
@@ -281,7 +238,7 @@ func TestSelectAnalyzers(t *testing.T) {
 
 func TestUnknownAnalyzerFlag(t *testing.T) {
 	var out, errw bytes.Buffer
-	if code := runStandalone([]string{"-only", "bogus", "./..."}, &out, &errw); code != 2 {
+	if code := run([]string{"-only", "bogus", "./..."}, &out, &errw); code != 2 {
 		t.Errorf("unknown analyzer exited %d, want 2", code)
 	}
 	if !strings.Contains(errw.String(), "unknown analyzer") {

@@ -11,7 +11,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
@@ -59,8 +58,6 @@ type Options struct {
 	// (internal/visindex) and answers every occlusion query by exhaustive
 	// obstacle scan. The two paths produce identical placements; the brute
 	// path is kept as the differential reference and benchmark baseline.
-	// The HIPO_BRUTE_FORCE_VISIBILITY environment variable (any non-empty
-	// value) forces it globally.
 	BruteForceVisibility bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
@@ -83,17 +80,11 @@ func (o Options) canceled() error {
 	return o.Ctx.Err()
 }
 
-// useBruteVisibility reports whether occlusion queries should bypass the
-// spatial index (option or environment override).
-func (o Options) useBruteVisibility() bool {
-	return o.BruteForceVisibility || os.Getenv("HIPO_BRUTE_FORCE_VISIBILITY") != ""
-}
-
 // withVisibility attaches the spatial visibility index for this solve
 // unless brute force was requested. Ensure clones, so the caller's scenario
 // is never mutated.
 func withVisibility(sc *model.Scenario, opt Options) *model.Scenario {
-	if opt.useBruteVisibility() {
+	if opt.BruteForceVisibility {
 		return sc
 	}
 	return visindex.Ensure(sc)
@@ -114,7 +105,7 @@ func (o Options) ExtractConfig() pdcs.Config {
 		Workers:               o.Workers,
 		SkipDominanceFilter:   o.SkipDominanceFilter,
 		SkipPairConstructions: o.SkipPairConstructions,
-		BruteForceVisibility:  o.useBruteVisibility(),
+		BruteForceVisibility:  o.BruteForceVisibility,
 		Tracer:                o.Tracer,
 	}
 }

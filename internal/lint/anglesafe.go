@@ -21,7 +21,7 @@ var AngleSafeAnalyzer = &Analyzer{
 	Doc: "flags math.Sin/Cos/Tan/Sincos calls whose argument is built from a " +
 		"degree-named identifier (deg, degrees, angleDeg, ...) with no visible " +
 		"radian conversion (* math.Pi / 180 or a *rad*-named helper)",
-	Run: runAngleSafe,
+	Run: perPackage(nil, runAngleSafe),
 }
 
 func runAngleSafe(pass *Pass) error {

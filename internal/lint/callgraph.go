@@ -1066,59 +1066,69 @@ func (b *builder) finishKeys() {
 }
 
 // propagate computes Summary and AcquiresAll bottom-up over the strongly
-// connected components of the call graph (iterative Tarjan; SCCs pop in
-// reverse topological order, so every out-of-component callee is final).
+// connected components of the call graph: sccs emits callees first, so
+// every out-of-component callee is final when its caller's component is.
 func (b *builder) propagate() {
-	prog := b.prog
-	index := make(map[*FuncNode]int, len(prog.keys))
-	low := make(map[*FuncNode]int, len(prog.keys))
-	onStack := make(map[*FuncNode]bool, len(prog.keys))
-	var stack []*FuncNode
-	next := 1
+	callees := func(n *FuncNode) []*FuncNode {
+		out := make([]*FuncNode, len(n.Edges))
+		for i, e := range n.Edges {
+			out[i] = e.Callee
+		}
+		return out
+	}
+	for _, comp := range sccs(b.prog.SortedFuncs(), callees) {
+		finalizeSCC(comp)
+	}
+}
+
+// sccs returns the strongly connected components of the graph reachable
+// from order under succ (iterative Tarjan, deterministic in order and in
+// succ's order). Each component is emitted after every component it
+// reaches — callees first — with members in stack-pop order.
+func sccs[T comparable](order []T, succ func(T) []T) [][]T {
+	index := make(map[T]int, len(order))
+	low := make(map[T]int, len(order))
+	onStack := make(map[T]bool, len(order))
+	var stack []T
+	var out [][]T
 
 	type frame struct {
-		n  *FuncNode
-		ei int
+		n    T
+		succ []T
+		ei   int
 	}
-	var visit func(root *FuncNode)
-	visit = func(root *FuncNode) {
-		frames := []frame{{n: root}}
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+	push := func(frames []frame, n T) []frame {
+		index[n] = len(index) + 1
+		low[n] = index[n]
+		stack = append(stack, n)
+		onStack[n] = true
+		return append(frames, frame{n: n, succ: succ(n)})
+	}
+	for _, root := range order {
+		if index[root] != 0 {
+			continue
+		}
+		frames := push(nil, root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
-			if f.ei < len(f.n.Edges) {
-				w := f.n.Edges[f.ei].Callee
+			if f.ei < len(f.succ) {
+				w := f.succ[f.ei]
 				f.ei++
 				if index[w] == 0 {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{n: w})
-				} else if onStack[w] {
-					if index[w] < low[f.n] {
-						low[f.n] = index[w]
-					}
+					frames = push(frames, w)
+				} else if onStack[w] && index[w] < low[f.n] {
+					low[f.n] = index[w]
 				}
 				continue
 			}
-			// Finished f.n.
 			n := f.n
 			frames = frames[:len(frames)-1]
 			if len(frames) > 0 {
 				p := frames[len(frames)-1].n
-				if low[n] < low[p] {
-					low[p] = low[n]
-				}
+				low[p] = min(low[p], low[n])
 			}
 			if low[n] == index[n] {
-				// Pop the component rooted at n and finalize it.
-				var comp []*FuncNode
+				var comp []T
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
@@ -1128,16 +1138,11 @@ func (b *builder) propagate() {
 						break
 					}
 				}
-				finalizeSCC(comp)
+				out = append(out, comp)
 			}
 		}
 	}
-	for _, k := range prog.keys {
-		n := prog.Funcs[k]
-		if index[n] == 0 {
-			visit(n)
-		}
-	}
+	return out
 }
 
 // finalizeSCC computes the shared Summary and AcquiresAll of one strongly

@@ -14,8 +14,7 @@ var CtxFlowAnalyzer = &Analyzer{
 	Doc: "flags context.Background()/context.TODO() in library code (root " +
 		"contexts belong in main/cmd layers) and context.Context parameters " +
 		"that a function accepts but never propagates",
-	Applies: func(path string) bool { return !isCommandPackage(path) },
-	Run:     runCtxFlow,
+	Run: perPackage(func(path string) bool { return !isCommandPackage(path) }, runCtxFlow),
 }
 
 func runCtxFlow(pass *Pass) error {

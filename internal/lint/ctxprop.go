@@ -24,7 +24,7 @@ import (
 // already polices root-context creation. Fresh root contexts passed to
 // known-blocking program callees get a machine-applicable fix replacing
 // the argument with the in-scope context.
-var CtxPropAnalyzer = &ProgramAnalyzer{
+var CtxPropAnalyzer = &Analyzer{
 	Name: "ctxprop",
 	Doc: "flags calls inside context-receiving functions that pass a " +
 		"context not derived from the received one to a program callee " +
@@ -120,8 +120,7 @@ func checkCtxProp(pkg *Package, fd *ast.FuncDecl, idx map[token.Position][]Edge,
 				continue
 			}
 			d := Diagnostic{
-				Analyzer: "ctxprop",
-				Pos:      pkg.Fset.Position(arg.Pos()),
+				Pos: pkg.Fset.Position(arg.Pos()),
 				Message: fmt.Sprintf("context severed: %s blocks or spawns but receives %s instead of a context derived from %s; propagate it or sever explicitly with //lint:ignore ctxprop <reason>",
 					callee, renderCtxArg(arg), ctxName),
 			}

@@ -16,7 +16,7 @@ import (
 // must be reproducible. Each finding carries the full source-to-sink chain
 // as related locations, and key-only map ranges over sortable keys get a
 // machine-applicable sorted-keys rewrite.
-var DetOrderAnalyzer = &ProgramAnalyzer{
+var DetOrderAnalyzer = &Analyzer{
 	Name: "detorder",
 	Doc: "flags order-nondeterministic values (map iteration, goroutine " +
 		"completion, select choice) reaching exported sinks — Placement " +
@@ -33,8 +33,7 @@ func runDetOrder(prog *Program, report func(Diagnostic)) error {
 			continue
 		}
 		d := Diagnostic{
-			Analyzer: "detorder",
-			Pos:      s.Pos,
+			Pos: s.Pos,
 			Message: fmt.Sprintf("%s-tainted value reaches %s sink in %s without canonicalization; "+
 				"sort before emitting or annotate the producer //hipo:order-invariant <reason>",
 				s.Taints, s.Kind, s.Func.Key),

@@ -29,7 +29,7 @@ var DetRandAnalyzer = &Analyzer{
 	Doc: "flags math/rand global top-level functions (rand.Intn, rand.Float64, " +
 		"rand.Seed, ...) in non-test code; randomized solver code must accept an " +
 		"injected, explicitly seeded *rand.Rand for reproducibility",
-	Run: runDetRand,
+	Run: perPackage(nil, runDetRand),
 }
 
 func runDetRand(pass *Pass) error {

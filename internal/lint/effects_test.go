@@ -149,13 +149,16 @@ func TestEffectAcquisitions(t *testing.T) {
 	}
 }
 
-// TestEffectReportOnFixture: BuildEffectReport sees no //hipo:hotpath roots
-// in the fixture and still emits a schema-tagged, non-nil roots array.
+// TestEffectReportOnFixture: BuildReport sees no //hipo:hotpath roots in
+// the fixture and still emits a schema-tagged, non-nil roots array.
 func TestEffectReportOnFixture(t *testing.T) {
 	prog := effectsProgram(t)
-	rep := lint.BuildEffectReport(prog)
-	if rep.Schema != lint.EffectReportSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, lint.EffectReportSchema)
+	rep, err := lint.BuildReport(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != lint.ReportSchema {
+		t.Errorf("schema = %q, want %q", rep.Schema, lint.ReportSchema)
 	}
 	if rep.Roots == nil {
 		t.Error("roots is nil; the report must serialize as an array")

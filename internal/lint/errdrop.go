@@ -16,7 +16,7 @@ var ErrDropAnalyzer = &Analyzer{
 	Doc: "flags expression statements that discard a returned error; write " +
 		"`_ = f()` to discard explicitly, or handle it — silent drops turn " +
 		"infeasible scenarios into wrong placements",
-	Run: runErrDrop,
+	Run: perPackage(nil, runErrDrop),
 }
 
 // errDropExempt reports callees whose error return is noise by contract:

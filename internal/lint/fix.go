@@ -34,15 +34,11 @@ type SuggestedFix struct {
 // ReportfFix records a diagnostic at pos carrying a machine-applicable
 // fix. A nil fix degrades to Reportf.
 func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	d := Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	}
+	d := Diagnostic{Pos: p.Fset.Position(pos), Message: fmt.Sprintf(format, args...)}
 	if fix != nil {
 		d.Fixes = []SuggestedFix{*fix}
 	}
-	*p.diags = append(*p.diags, d)
+	p.report(d)
 }
 
 // ReplaceNode builds a fix that substitutes newText for node n.

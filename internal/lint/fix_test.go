@@ -32,7 +32,7 @@ func TestFixCleansDirtyTree(t *testing.T) {
 
 	run := func() []lint.Diagnostic {
 		pkg := loadTestdata(t, dir, "hipo/internal/geom")
-		diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.NaNFlowAnalyzer})
+		diags, err := lint.Run(lint.BuildProgram([]*lint.Package{pkg}), []*lint.Analyzer{lint.NaNFlowAnalyzer})
 		if err != nil {
 			t.Fatal(err)
 		}

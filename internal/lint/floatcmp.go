@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // floatCmpPackages are the geometry and solver packages whose predicates
@@ -42,15 +43,7 @@ var FloatCmpAnalyzer = &Analyzer{
 	Doc: "flags raw == or != on floating-point operands in geometry/solver " +
 		"packages; boundary predicates must use the ε-tolerance helpers so the " +
 		"piecewise-constant power approximation stays stable across runs",
-	Applies: func(path string) bool {
-		for _, p := range floatCmpPackages {
-			if path == p {
-				return true
-			}
-		}
-		return false
-	},
-	Run: runFloatCmp,
+	Run: perPackage(func(path string) bool { return slices.Contains(floatCmpPackages, path) }, runFloatCmp),
 }
 
 // isFloat reports whether t's underlying type is a floating-point scalar.

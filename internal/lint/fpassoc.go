@@ -13,7 +13,7 @@ import "fmt"
 // schedule.RunPool block outputs the pdcs pipeline reduces in block order)
 // are clean by construction; intentionally order-free reducers are
 // annotated //hipo:order-invariant <reason>.
-var FPAssocAnalyzer = &ProgramAnalyzer{
+var FPAssocAnalyzer = &Analyzer{
 	Name: "fpassoc",
 	Doc: "flags floating-point accumulations whose addend order depends on " +
 		"map iteration, goroutine completion, or select choice — float " +
@@ -36,8 +36,7 @@ func runFPAssoc(prog *Program, report func(Diagnostic)) error {
 		}
 		seen[key] = true
 		report(Diagnostic{
-			Analyzer: "fpassoc",
-			Pos:      fa.Pos,
+			Pos: fa.Pos,
 			Message: fmt.Sprintf("floating-point accumulation in %s adds its terms in %s-dependent "+
 				"order; float addition is not associative, so the rounded sum is nondeterministic — "+
 				"accumulate in a deterministic order or annotate //hipo:order-invariant <reason>",

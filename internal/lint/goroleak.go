@@ -23,7 +23,7 @@ var GoroLeakAnalyzer = &Analyzer{
 	Doc: "flags goroutines whose body contains a reachable loop with no path " +
 		"to termination (no return, break, closing range, or ctx.Done() exit " +
 		"reachable in the CFG); such goroutines leak once their input side stops",
-	Run: runGoroLeak,
+	Run: perPackage(nil, runGoroLeak),
 }
 
 func runGoroLeak(pass *Pass) error {

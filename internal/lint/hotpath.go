@@ -16,7 +16,7 @@ import (
 // function, a sample site of the denied effect, and the exact call chain
 // from the root, so the finding is actionable without re-deriving the
 // graph by hand.
-var HotPathAnalyzer = &ProgramAnalyzer{
+var HotPathAnalyzer = &Analyzer{
 	Name: "hotpath",
 	Doc: "flags functions reachable from //hipo:hotpath roots whose effect " +
 		"summary intersects the root's denied effects (default " +
@@ -127,8 +127,7 @@ func checkHotRoot(root *FuncNode, deny EffectSet, report func(Diagnostic)) {
 			})
 		}
 		report(Diagnostic{
-			Analyzer: "hotpath",
-			Pos:      root.Pos,
+			Pos: root.Pos,
 			Message: fmt.Sprintf("hot path root %s reaches denied effect(s) %s in %s (%s); chain: %s",
 				root.Key, bad, off.Key, describeEffectSites(off, bad), strings.Join(chain, " -> ")),
 			Related: related,

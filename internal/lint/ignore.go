@@ -32,10 +32,10 @@ type ignoreSet map[ignoreKey]bool
 // for, switch, select) the extent stops at the opening brace: the
 // directive covers the multi-line header, never the body.
 //
-// Directives missing the analyzer name or the reason are returned as
-// diagnostics so that a suppression can never silently rot.
-func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagnostic) {
-	ign := make(ignoreSet)
+// Suppressions are added to ign. Directives missing the analyzer name or
+// the reason are returned as diagnostics so that a suppression can never
+// silently rot.
+func collectIgnores(ign ignoreSet, fset *token.FileSet, files []*ast.File) []Diagnostic {
 	var bad []Diagnostic
 	for _, f := range files {
 		extents := stmtExtents(fset, f)
@@ -56,7 +56,7 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagno
 					continue
 				}
 				name := fields[0]
-				if name != "*" && ByName(name) == nil && ProgramByName(name) == nil {
+				if name != "*" && ByName(name) == nil {
 					bad = append(bad, Diagnostic{
 						Analyzer: "lintdirective",
 						Pos:      pos,
@@ -74,7 +74,7 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) (ignoreSet, []Diagno
 			}
 		}
 	}
-	return ign, bad
+	return bad
 }
 
 // stmtExtents maps each line that starts a statement to the last line of

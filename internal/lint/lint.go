@@ -3,13 +3,21 @@
 // correctness invariants: ε-tolerant float comparisons in geometry code,
 // deterministic randomness in solver paths, no wall-clock reads inside the
 // deterministic pipeline, context propagation, no silently dropped errors,
-// and no degree/radian confusion around trig calls.
+// no degree/radian confusion around trig calls, and — through the
+// interprocedural call-graph, effect-summary and taint engines — effect-
+// clean //hipo:hotpath roots, a global lock order, and order-deterministic
+// bit-identity sinks.
 //
-// The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,
-// Pass, Diagnostic) so the suite can be ported to the upstream framework
-// verbatim if that dependency ever becomes available; the container this
-// repo grows in has no module cache, so everything here is built on the
-// standard library only (go/ast, go/types, and export data produced by
+// Every check is one Analyzer whose Run sees the whole loaded Program.
+// Checks that only need one package at a time are written against a Pass
+// and adapted with perPackage. Run applies a set of analyzers, validates
+// the //lint:ignore and //hipo: directives of every package, filters
+// suppressed findings, and sorts the survivors.
+//
+// The Pass and Diagnostic shapes deliberately mirror
+// golang.org/x/tools/go/analysis so the per-package checks could be ported
+// to the upstream framework; everything here is built on the standard
+// library only (go/ast, go/types, and export data produced by
 // `go list -export`).
 //
 // Diagnostics are suppressed with a sibling comment:
@@ -26,12 +34,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
-// Analyzer describes one static check. The shape intentionally matches
-// x/tools/go/analysis.Analyzer minus the fact/requires machinery, which
-// this suite does not need.
+// Analyzer describes one static check over a loaded Program.
 type Analyzer struct {
 	// Name is the short identifier used in diagnostics and in
 	// //lint:ignore directives.
@@ -39,26 +46,41 @@ type Analyzer struct {
 	// Doc is a one-paragraph description: what is flagged and why the
 	// invariant matters to the placement pipeline.
 	Doc string
-	// Applies reports whether the analyzer should run on the package with
-	// the given import path. A nil Applies means "every package".
-	Applies func(importPath string) bool
-	// Run inspects one package and reports findings via pass.Report.
-	Run func(pass *Pass) error
+	// Run inspects the program and reports findings through report. The
+	// package-level Run stamps each finding with Name.
+	Run func(prog *Program, report func(Diagnostic)) error
 }
 
-// Pass carries one package's parsed and type-checked representation to an
-// analyzer, along with the diagnostic sink.
+// Pass carries one package's parsed and type-checked representation to a
+// per-package check, along with the diagnostic sink.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	// Package, when set, is the full loaded package, giving analyzers
-	// access to parsed //hipo: annotations.
+	Fset  *token.FileSet
+	Files []*ast.File
+	Pkg   *types.Package
+	Info  *types.Info
+	// Package is the full loaded package, giving checks access to parsed
+	// //hipo: annotations.
 	Package *Package
 
-	diags *[]Diagnostic
+	report func(Diagnostic)
+}
+
+// perPackage adapts a single-package check to Analyzer.Run: check sees a
+// Pass for every program package whose import path applies accepts (nil
+// applies: every package).
+func perPackage(applies func(importPath string) bool, check func(*Pass) error) func(*Program, func(Diagnostic)) error {
+	return func(prog *Program, report func(Diagnostic)) error {
+		for _, pkg := range prog.Packages {
+			if applies != nil && !applies(pkg.ImportPath) {
+				continue
+			}
+			pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, Package: pkg, report: report}
+			if err := check(pass); err != nil {
+				return fmt.Errorf("%s: %w", pkg.ImportPath, err)
+			}
+		}
+		return nil
+	}
 }
 
 // Diagnostic is one finding, located by Position for stable sorting and
@@ -87,11 +109,7 @@ func (d Diagnostic) String() string {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.report(Diagnostic{Pos: p.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
 }
 
 // TypeOf returns the type of e, or nil if unknown.
@@ -110,7 +128,8 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// Analyzers returns the full suite in stable order.
+// Analyzers returns the full suite in stable order: the per-package
+// checks, then the whole-program ones.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FloatCmpAnalyzer,
@@ -122,6 +141,12 @@ func Analyzers() []*Analyzer {
 		MutexGuardAnalyzer,
 		NaNFlowAnalyzer,
 		GoroLeakAnalyzer,
+		HotPathAnalyzer,
+		LockOrderAnalyzer,
+		CtxPropAnalyzer,
+		DetOrderAnalyzer,
+		FPAssocAnalyzer,
+		SharedWriteAnalyzer,
 	}
 }
 
@@ -135,30 +160,28 @@ func ByName(name string) *Analyzer {
 	return nil
 }
 
-// RunAnalyzers applies each analyzer whose Applies accepts pkg's import
-// path, filters suppressed findings, and returns the surviving diagnostics
-// sorted by position. Malformed //lint:ignore directives are appended as
-// diagnostics of the pseudo-analyzer "lintdirective".
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// Run applies each analyzer to prog, filters findings suppressed by
+// //lint:ignore directives, and returns the survivors sorted by position.
+// Malformed //lint:ignore and //hipo: directives of every package are
+// appended as unsuppressible diagnostics of the pseudo-analyzer
+// "lintdirective", whichever analyzers run.
+func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		if a.Applies != nil && !a.Applies(pkg.ImportPath) {
-			continue
+		report := func(d Diagnostic) {
+			d.Analyzer = a.Name
+			diags = append(diags, d)
 		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			Package:  pkg,
-			diags:    &diags,
-		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
+		if err := a.Run(prog, report); err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
 	}
-	ign, bad := collectIgnores(pkg.Fset, pkg.Files)
+	ign := make(ignoreSet)
+	var bad []Diagnostic
+	for _, pkg := range prog.Packages {
+		bad = append(bad, collectIgnores(ign, pkg.Fset, pkg.Files)...)
+		bad = append(bad, pkg.Annotations().Bad...)
+	}
 	kept := diags[:0]
 	for _, d := range diags {
 		if !ign.suppressed(d) {
@@ -166,12 +189,29 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	kept = append(kept, bad...)
-	// Malformed //hipo: directives surface through the same channel as
-	// malformed //lint:ignore comments: unsuppressible lintdirective
-	// diagnostics.
-	kept = append(kept, pkg.Annotations().Bad...)
 	SortDiagnostics(kept)
 	return kept, nil
+}
+
+// SortDiagnostics orders diagnostics by file, line, column, analyzer, and
+// finally message.
+func SortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i].Pos, diags[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Column != b.Column {
+			return a.Column < b.Column
+		}
+		if diags[i].Analyzer != diags[j].Analyzer {
+			return diags[i].Analyzer < diags[j].Analyzer
+		}
+		return diags[i].Message < diags[j].Message
+	})
 }
 
 // pathHasPrefix reports whether path is pkg or lies under the pkg/ subtree.

@@ -49,13 +49,10 @@ func TestWallClockAllowAnnotation(t *testing.T) {
 
 func TestHipoDirectiveValidation(t *testing.T) {
 	// Malformed //hipo: directives surface as lintdirective diagnostics no
-	// matter which analyzer runs; each broken directive in the fixture must
-	// produce exactly one.
+	// matter which analyzer runs — a per-package one or a whole-program
+	// one; each broken directive in the fixture must produce exactly one.
 	pkg := loadTestPackage(t, "hipo/cmd/hiposerve", "testdata/hipobad")
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.WallClockAnalyzer})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := lint.BuildProgram([]*lint.Package{pkg})
 	wants := []string{
 		"//hipo:allow-wallclock needs a reason",
 		"//hipo:pure needs a reason",
@@ -65,19 +62,25 @@ func TestHipoDirectiveValidation(t *testing.T) {
 		"//hipo:order-invariant needs a reason",
 		"//hipo:order-invariant must appear in a function's doc comment",
 	}
-	if len(diags) != len(wants) {
-		t.Errorf("got %d diagnostics, want %d:\n%v", len(diags), len(wants), diags)
-	}
-	for _, w := range wants {
-		found := false
-		for _, d := range diags {
-			if d.Analyzer == "lintdirective" && strings.Contains(d.Message, w) {
-				found = true
-				break
-			}
+	for _, a := range []*lint.Analyzer{lint.WallClockAnalyzer, lint.HotPathAnalyzer} {
+		diags, err := lint.Run(prog, []*lint.Analyzer{a})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !found {
-			t.Errorf("no lintdirective diagnostic containing %q", w)
+		if len(diags) != len(wants) {
+			t.Errorf("%s: got %d diagnostics, want %d:\n%v", a.Name, len(diags), len(wants), diags)
+		}
+		for _, w := range wants {
+			found := false
+			for _, d := range diags {
+				if d.Analyzer == "lintdirective" && strings.Contains(d.Message, w) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: no lintdirective diagnostic containing %q", a.Name, w)
+			}
 		}
 	}
 }
@@ -128,7 +131,7 @@ func TestIgnoreStatementExtent(t *testing.T) {
 // reported as a lintdirective diagnostic.
 func TestMalformedIgnoreDirectives(t *testing.T) {
 	pkg := loadTestdata(t, "testdata/ignorebad", "hipo/internal/geom")
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{lint.FloatCmpAnalyzer})
+	diags, err := lint.Run(lint.BuildProgram([]*lint.Package{pkg}), []*lint.Analyzer{lint.FloatCmpAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +168,16 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("ByName(%q) does not round-trip", a.Name)
 		}
 	}
-	for _, want := range []string{"floatcmp", "detrand", "wallclock", "ctxflow", "errdrop", "anglesafe", "mutexguard", "nanflow", "goroleak"} {
+	for _, want := range []string{
+		"floatcmp", "detrand", "wallclock", "ctxflow", "errdrop", "anglesafe", "mutexguard", "nanflow", "goroleak",
+		"hotpath", "lockorder", "ctxprop", "detorder", "fpassoc", "sharedwrite",
+	} {
 		if !names[want] {
 			t.Errorf("suite is missing analyzer %q", want)
 		}
+	}
+	if len(names) != 15 {
+		t.Errorf("registry lists %d analyzers, want 15", len(names))
 	}
 	if lint.ByName("nosuchcheck") != nil {
 		t.Error("ByName on unknown name should be nil")

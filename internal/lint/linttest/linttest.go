@@ -127,33 +127,35 @@ func parseWants(path string) ([]*want, error) {
 	return wants, nil
 }
 
-// Run type-checks the testdata directory dir as a package with the given
-// import path (which decides Applies gating) and verifies the analyzer's
-// diagnostics against the `// want` comments.
+// Run type-checks the testdata directory dir as one package with the
+// given import path, builds the whole-program view over it, applies the
+// analyzer, and verifies its diagnostics against the `// want` comments.
+// The import path decides scope gating (package allowlists, command
+// exemptions), so fixtures may pose as pipeline packages like
+// "hipo/internal/jobs".
 func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 	t.Helper()
-	pkg := loadDir(t, dir, importPath)
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	checkWants(t, dir, diags)
+	checkWants(t, dir, run(t, a, dir, importPath))
 }
 
-// RunProgram type-checks dir as one package, builds the whole-program call
-// graph over it, applies the program analyzer, and verifies diagnostics
-// against the `// want` comments. The import path decides scope gating
-// (lockorder's package allowlist, ctxprop's command exemption), so
-// fixtures may pose as pipeline packages like "hipo/internal/jobs".
-func RunProgram(t *testing.T, a *lint.ProgramAnalyzer, dir, importPath string) {
+// RunExpectClean asserts the analyzer reports nothing on dir when loaded
+// under importPath — used to exercise scope gating and suppressions.
+func RunExpectClean(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 	t.Helper()
-	pkg := loadDir(t, dir, importPath)
-	prog := lint.BuildProgram([]*lint.Package{pkg})
-	diags, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{a})
+	for _, d := range run(t, a, dir, importPath) {
+		t.Errorf("expected no diagnostics under %s, got: %s", importPath, d)
+	}
+}
+
+// run loads dir under importPath and applies a through lint.Run.
+func run(t *testing.T, a *lint.Analyzer, dir, importPath string) []lint.Diagnostic {
+	t.Helper()
+	prog := lint.BuildProgram([]*lint.Package{loadDir(t, dir, importPath)})
+	diags, err := lint.Run(prog, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}
-	checkWants(t, dir, diags)
+	return diags
 }
 
 // loadDir type-checks the testdata directory as one package.
@@ -210,41 +212,5 @@ func checkWants(t *testing.T, dir string, diags []lint.Diagnostic) {
 		if !w.hit {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
-	}
-}
-
-// RunProgramExpectClean asserts the program analyzer reports nothing on
-// dir when loaded under importPath — used to exercise scope gating (e.g.
-// lockorder outside the serving stack).
-func RunProgramExpectClean(t *testing.T, a *lint.ProgramAnalyzer, dir, importPath string) {
-	t.Helper()
-	pkg := loadDir(t, dir, importPath)
-	prog := lint.BuildProgram([]*lint.Package{pkg})
-	diags, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	for _, d := range diags {
-		t.Errorf("expected no diagnostics under %s, got: %s", importPath, d)
-	}
-}
-
-// RunExpectClean asserts the analyzer reports nothing on dir when loaded
-// under importPath — used to exercise Applies gating and suppressions.
-func RunExpectClean(t *testing.T, a *lint.Analyzer, dir, importPath string) {
-	t.Helper()
-	exp := exportData(t)
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", exp.Lookup)
-	pkg, err := lint.CheckDir(fset, imp, importPath, dir)
-	if err != nil {
-		t.Fatalf("loading %s: %v", dir, err)
-	}
-	diags, err := lint.RunAnalyzers(pkg, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	for _, d := range diags {
-		t.Errorf("expected no diagnostics under %s, got: %s", importPath, d)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -52,20 +53,11 @@ func (e *ExportData) Lookup(path string) (io.ReadCloser, error) {
 // included). Test harnesses use it to type-check testdata packages with
 // the same importer as real loads.
 func LoadExportData(dir string, patterns ...string) (*ExportData, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	listed, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	exp := &ExportData{files: make(map[string]string, len(listed))}
-	for _, p := range listed {
-		if p.Export != "" {
-			exp.files[p.ImportPath] = p.Export
-		}
-	}
-	return exp, nil
+	return exportData(listed), nil
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -78,9 +70,12 @@ type listedPackage struct {
 	GoFiles    []string
 }
 
-// goList runs `go list -export -deps -json` for the patterns in dir and
-// decodes the stream of package objects.
+// goList runs `go list -export -deps -json` for the patterns in dir
+// (default "./...") and decodes the stream of package objects.
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
 	args := append([]string{"list", "-export", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -102,51 +97,45 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 	return pkgs, nil
 }
 
-// LoadModule lists, parses, and type-checks every package of the module
-// rooted at dir that matches patterns (e.g. "./..."), resolving all
-// imports — standard library and intra-module alike — through compiled
-// export data. Only non-test files are loaded, mirroring what `go vet`
-// hands a unit checker for the primary package.
-func LoadModule(dir string, patterns []string) ([]*Package, error) {
-	return LoadModuleParallel(dir, patterns, 1)
-}
-
-// LoadModuleParallel is LoadModule with parsing and type-checking spread
-// over a pool of workers. The token.FileSet is shared (it synchronizes
-// internally), but each worker owns a private gc importer over the shared
-// export data: the importer's package cache is a plain map. One
-// consequence is deliberate — dependency types materialized by different
-// workers are distinct types.Object universes, so whole-program layers
-// must never rely on cross-package object identity (callgraph.go keys
-// functions by canonical strings for exactly this reason). Package order
-// in the result matches the `go list` order regardless of which worker
-// finished first.
-func LoadModuleParallel(dir string, patterns []string, workers int) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	listed, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
+// exportData indexes the export-data files of listed packages.
+func exportData(listed []*listedPackage) *ExportData {
 	exp := &ExportData{files: make(map[string]string, len(listed))}
 	for _, p := range listed {
 		if p.Export != "" {
 			exp.files[p.ImportPath] = p.Export
 		}
 	}
+	return exp
+}
+
+// LoadModule lists, parses, and type-checks every package of the module
+// rooted at dir that matches patterns (e.g. "./..."), resolving all
+// imports — standard library and intra-module alike — through compiled
+// export data. Only non-test files are loaded: the suite's contract covers
+// the code that ships.
+//
+// Parsing and type-checking run on a pool of GOMAXPROCS workers. The
+// token.FileSet is shared (it synchronizes internally), but each worker
+// owns a private gc importer over the shared export data: the importer's
+// package cache is a plain map. One consequence is deliberate — dependency
+// types materialized by different workers are distinct types.Object
+// universes, so whole-program layers must never rely on cross-package
+// object identity (callgraph.go keys functions by canonical strings for
+// exactly this reason). Package order in the result matches the `go list`
+// order regardless of which worker finished first.
+func LoadModule(dir string, patterns []string) ([]*Package, error) {
+	listed, err := goList(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	exp := exportData(listed)
 	var targets []*listedPackage
 	for _, p := range listed {
 		if !p.Standard && !p.DepOnly {
 			targets = append(targets, p)
 		}
 	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(targets))
 	fset := token.NewFileSet()
 	pkgs := make([]*Package, len(targets))
 	errs := make([]error, len(targets))

@@ -25,7 +25,7 @@ import (
 // generate edges, so a maybe-held merge stays silent. Goroutine launches
 // do not extend the held set into the spawned body: the parent's locks are
 // not ordered against a child goroutine's acquisitions.
-var LockOrderAnalyzer = &ProgramAnalyzer{
+var LockOrderAnalyzer = &Analyzer{
 	Name: "lockorder",
 	Doc: "flags cycles in the global lock-ordering graph of the serving " +
 		"stack (jobs, serve, solvecache, servemetrics): lock B acquired " +
@@ -88,15 +88,8 @@ func collectOrderEdges(prog *Program, n *FuncNode, edges map[[2]string]orderEdge
 		return
 	}
 	pkg := n.Pkg
-	var scratch []Diagnostic
-	pass := &Pass{
-		Analyzer: &Analyzer{Name: "lockorder"},
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-		diags:    &scratch,
-	}
+	// A scratch pass: only the held-lock dataflow is wanted, not findings.
+	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, report: func(Diagnostic) {}}
 
 	// Canonical names for every mutex path this body touches, plus the
 	// receiver-contract paths from "must be called with mu held" docs.
@@ -281,8 +274,7 @@ func reportLockCycles(edges map[[2]string]orderEdge, report func(Diagnostic)) {
 	for _, n := range sorted {
 		if e, ok := edges[[2]string{n, n}]; ok {
 			report(Diagnostic{
-				Analyzer: "lockorder",
-				Pos:      e.sitePos,
+				Pos: e.sitePos,
 				Message: fmt.Sprintf("lock %s is acquired while already held (in %s): sync mutexes are not reentrant, this deadlocks",
 					n, e.via),
 				Related: []RelatedPos{{Pos: e.acqPos, Message: "nested acquisition"}},
@@ -291,8 +283,7 @@ func reportLockCycles(edges map[[2]string]orderEdge, report func(Diagnostic)) {
 	}
 
 	// Multi-lock cycles via SCCs of the ordering graph.
-	sccs := stringSCCs(sorted, adj)
-	for _, comp := range sccs {
+	for _, comp := range sccs(sorted, func(n string) []string { return adj[n] }) {
 		if len(comp) < 2 {
 			continue
 		}
@@ -322,80 +313,12 @@ func reportLockCycles(edges map[[2]string]orderEdge, report func(Diagnostic)) {
 			continue
 		}
 		report(Diagnostic{
-			Analyzer: "lockorder",
-			Pos:      first.sitePos,
+			Pos: first.sitePos,
 			Message: fmt.Sprintf("inconsistent lock order creates a potential deadlock: %s -> %s",
 				strings.Join(cycle, " -> "), cycle[0]),
 			Related: related,
 		})
 	}
-}
-
-// stringSCCs computes strongly connected components over string nodes
-// (iterative Tarjan, deterministic in the given node order).
-func stringSCCs(order []string, adj map[string][]string) [][]string {
-	index := make(map[string]int, len(order))
-	low := make(map[string]int, len(order))
-	onStack := make(map[string]bool, len(order))
-	var stack []string
-	next := 1
-	var sccs [][]string
-
-	type frame struct {
-		n  string
-		ei int
-	}
-	visit := func(root string) {
-		frames := []frame{{n: root}}
-		index[root], low[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if f.ei < len(adj[f.n]) {
-				w := adj[f.n][f.ei]
-				f.ei++
-				if index[w] == 0 {
-					index[w], low[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, frame{n: w})
-				} else if onStack[w] && index[w] < low[f.n] {
-					low[f.n] = index[w]
-				}
-				continue
-			}
-			n := f.n
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := frames[len(frames)-1].n
-				if low[n] < low[p] {
-					low[p] = low[n]
-				}
-			}
-			if low[n] == index[n] {
-				var comp []string
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == n {
-						break
-					}
-				}
-				sccs = append(sccs, comp)
-			}
-		}
-	}
-	for _, n := range order {
-		if index[n] == 0 {
-			visit(n)
-		}
-	}
-	return sccs
 }
 
 // findCycle returns a cycle through start restricted to comp, as the node

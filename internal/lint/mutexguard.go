@@ -29,7 +29,7 @@ var MutexGuardAnalyzer = &Analyzer{
 		"paths where the named sibling mutex is provably not held; annotate " +
 		"helper functions with \"must be called with <mu> held\" to model " +
 		"caller-held locks",
-	Run: runMutexGuard,
+	Run: perPackage(nil, runMutexGuard),
 }
 
 // guardedByRE extracts the sibling mutex name from a field comment.

@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -41,15 +42,7 @@ var NaNFlowAnalyzer = &Analyzer{
 		"math.Acos/Asin arguments (machine-fixable with a [-1,1] clamp), " +
 		"divisions by never-guarded denominators, and comparisons against " +
 		"math.NaN() sentinels without a math.IsNaN guard",
-	Applies: func(path string) bool {
-		for _, p := range nanflowPackages {
-			if path == p {
-				return true
-			}
-		}
-		return false
-	},
-	Run: runNaNFlow,
+	Run: perPackage(func(path string) bool { return slices.Contains(nanflowPackages, path) }, runNaNFlow),
 }
 
 // guardFacts is the dataflow state: variables that some comparison has

@@ -10,25 +10,25 @@ import (
 )
 
 func TestHotPath(t *testing.T) {
-	linttest.RunProgram(t, lint.HotPathAnalyzer, "testdata/hotpath", "hipo/internal/pdcs")
+	linttest.Run(t, lint.HotPathAnalyzer, "testdata/hotpath", "hipo/internal/pdcs")
 }
 
 func TestLockOrder(t *testing.T) {
-	linttest.RunProgram(t, lint.LockOrderAnalyzer, "testdata/lockorder", "hipo/internal/jobs")
+	linttest.Run(t, lint.LockOrderAnalyzer, "testdata/lockorder", "hipo/internal/jobs")
 }
 
 func TestLockOrderOutOfScope(t *testing.T) {
 	// The same sources outside the serving stack participate in no global
 	// lock order; nothing is reported.
-	linttest.RunProgramExpectClean(t, lint.LockOrderAnalyzer, "testdata/lockorder", "hipo/internal/geom")
+	linttest.RunExpectClean(t, lint.LockOrderAnalyzer, "testdata/lockorder", "hipo/internal/geom")
 }
 
 func TestCtxProp(t *testing.T) {
-	linttest.RunProgram(t, lint.CtxPropAnalyzer, "testdata/ctxprop", "hipo/internal/core")
+	linttest.Run(t, lint.CtxPropAnalyzer, "testdata/ctxprop", "hipo/internal/core")
 }
 
 func TestCtxPropExemptInCommands(t *testing.T) {
-	linttest.RunProgramExpectClean(t, lint.CtxPropAnalyzer, "testdata/ctxprop", "hipo/cmd/hiposerve")
+	linttest.RunExpectClean(t, lint.CtxPropAnalyzer, "testdata/ctxprop", "hipo/cmd/hiposerve")
 }
 
 // TestCtxPropSuggestedFix: a severed context.Background() toward a blocking
@@ -37,7 +37,7 @@ func TestCtxPropExemptInCommands(t *testing.T) {
 func TestCtxPropSuggestedFix(t *testing.T) {
 	pkg := loadTestPackage(t, "hipo/internal/core", filepath.Join("testdata", "ctxprop"))
 	prog := lint.BuildProgram([]*lint.Package{pkg})
-	diags, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{lint.CtxPropAnalyzer})
+	diags, err := lint.Run(prog, []*lint.Analyzer{lint.CtxPropAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,27 +64,27 @@ func TestCtxPropSuggestedFix(t *testing.T) {
 }
 
 func TestDetOrder(t *testing.T) {
-	linttest.RunProgram(t, lint.DetOrderAnalyzer, "testdata/detorder", "hipo/internal/servemetrics")
+	linttest.Run(t, lint.DetOrderAnalyzer, "testdata/detorder", "hipo/internal/servemetrics")
 }
 
 func TestFPAssoc(t *testing.T) {
-	linttest.RunProgram(t, lint.FPAssocAnalyzer, "testdata/fpassoc", "hipo/internal/expt")
+	linttest.Run(t, lint.FPAssocAnalyzer, "testdata/fpassoc", "hipo/internal/expt")
 }
 
 func TestSharedWrite(t *testing.T) {
-	linttest.RunProgram(t, lint.SharedWriteAnalyzer, "testdata/sharedwrite", "hipo/internal/jobs")
+	linttest.Run(t, lint.SharedWriteAnalyzer, "testdata/sharedwrite", "hipo/internal/jobs")
 }
 
 func TestSharedWriteCleanWithoutGoroutines(t *testing.T) {
 	// The detorder fixture spawns nothing, so the goroutine subgraph is
 	// empty and sharedwrite has nothing to say.
-	linttest.RunProgramExpectClean(t, lint.SharedWriteAnalyzer, "testdata/detorder", "hipo/internal/servemetrics")
+	linttest.RunExpectClean(t, lint.SharedWriteAnalyzer, "testdata/detorder", "hipo/internal/servemetrics")
 }
 
 func TestFPAssocCleanOnDetOrderFixture(t *testing.T) {
 	// The detorder fixture has string and slice accumulations but no float
 	// reductions; fpassoc must stay silent on it.
-	linttest.RunProgramExpectClean(t, lint.FPAssocAnalyzer, "testdata/detorder", "hipo/internal/servemetrics")
+	linttest.RunExpectClean(t, lint.FPAssocAnalyzer, "testdata/detorder", "hipo/internal/servemetrics")
 }
 
 // TestDetOrderSuggestedFix: a key-only map range over string keys in a file
@@ -92,7 +92,7 @@ func TestFPAssocCleanOnDetOrderFixture(t *testing.T) {
 func TestDetOrderSuggestedFix(t *testing.T) {
 	pkg := loadTestPackage(t, "hipo/internal/servemetrics", filepath.Join("testdata", "detorder"))
 	prog := lint.BuildProgram([]*lint.Package{pkg})
-	diags, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{lint.DetOrderAnalyzer})
+	diags, err := lint.Run(prog, []*lint.Analyzer{lint.DetOrderAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,13 +73,12 @@ type sarifRegion struct {
 }
 
 // WriteSARIF renders diags as a SARIF 2.1.0 log on w. Every analyzer in
-// analyzers and progAnalyzers gets a rule descriptor whether or not it
-// produced findings, so consumers can tell "ran clean" from "did not run".
+// analyzers gets a rule descriptor whether or not it produced findings, so consumers can tell "ran clean" from "did not run".
 // File paths are made relative to root (when possible) and
 // slash-separated, as SARIF requires repo-relative URIs. Related locations
 // (hotpath call chains, lockorder cycle edges) are carried through as
 // relatedLocations.
-func WriteSARIF(w io.Writer, analyzers []*Analyzer, progAnalyzers []*ProgramAnalyzer, diags []Diagnostic, root string) error {
+func WriteSARIF(w io.Writer, analyzers []*Analyzer, diags []Diagnostic, root string) error {
 	driver := sarifDriver{
 		Name:  "hipolint",
 		Rules: []sarifRule{},
@@ -96,9 +95,6 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, progAnalyzers []*ProgramAnal
 		})
 	}
 	for _, a := range analyzers {
-		addRule(a.Name, a.Doc)
-	}
-	for _, a := range progAnalyzers {
 		addRule(a.Name, a.Doc)
 	}
 	// Diagnostics outside the suite (e.g. lintdirective for malformed

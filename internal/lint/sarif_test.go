@@ -24,7 +24,7 @@ func sampleDiags() []lint.Diagnostic {
 // slash-separated URIs.
 func TestWriteSARIF(t *testing.T) {
 	var buf bytes.Buffer
-	if err := lint.WriteSARIF(&buf, lint.Analyzers(), lint.ProgramAnalyzers(), sampleDiags(), "/repo"); err != nil {
+	if err := lint.WriteSARIF(&buf, lint.Analyzers(), sampleDiags(), "/repo"); err != nil {
 		t.Fatal(err)
 	}
 	var log struct {
@@ -88,11 +88,6 @@ func TestWriteSARIF(t *testing.T) {
 			t.Errorf("missing rule descriptor for analyzer %q", a.Name)
 		}
 	}
-	for _, a := range lint.ProgramAnalyzers() {
-		if !rules[a.Name] {
-			t.Errorf("missing rule descriptor for program analyzer %q", a.Name)
-		}
-	}
 	results := log.Runs[0].Results
 	if len(results) != 2 {
 		t.Fatalf("got %d results, want 2", len(results))
@@ -120,7 +115,7 @@ func TestWriteSARIF(t *testing.T) {
 // (not null) results array.
 func TestWriteSARIFEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := lint.WriteSARIF(&buf, lint.Analyzers(), lint.ProgramAnalyzers(), nil, ""); err != nil {
+	if err := lint.WriteSARIF(&buf, lint.Analyzers(), nil, ""); err != nil {
 		t.Fatal(err)
 	}
 	var log map[string]any

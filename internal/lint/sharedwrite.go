@@ -18,7 +18,7 @@ import (
 // callee through a helper that neither locks nor carries the contract —
 // the shared-write escape. Lock identity is canonical (pkg.Type.field),
 // the same approximation lockorder uses.
-var SharedWriteAnalyzer = &ProgramAnalyzer{
+var SharedWriteAnalyzer = &Analyzer{
 	Name: "sharedwrite",
 	Doc: "follows spawn edges into goroutine-reachable code and flags calls " +
 		"to \"must be called with <mu> held\" contract functions where the " +
@@ -106,15 +106,8 @@ func checkSpawnedCaller(prog *Program, n *FuncNode, parents map[*FuncNode]spawnS
 	}
 
 	pkg := n.Pkg
-	var scratch []Diagnostic
-	pass := &Pass{
-		Analyzer: &Analyzer{Name: "sharedwrite"},
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Types,
-		Info:     pkg.Info,
-		diags:    &scratch,
-	}
+	// A scratch pass: only the held-lock dataflow is wanted, not findings.
+	pass := &Pass{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info, report: func(Diagnostic) {}}
 
 	// Canonical identities of every mutex this body manipulates, plus the
 	// caller's own entry contract.
@@ -221,8 +214,7 @@ func checkSpawnedCaller(prog *Program, n *FuncNode, parents map[*FuncNode]spawnS
 					}
 					seen[dedupKey] = true
 					report(Diagnostic{
-						Analyzer: "sharedwrite",
-						Pos:      pos,
+						Pos: pos,
 						Message: fmt.Sprintf("goroutine-reachable call to %s, whose contract requires %s held, "+
 							"without the lock provably held in %s; lock around the call or document the "+
 							"\"must be called with ... held\" contract on this function",

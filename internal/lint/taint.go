@@ -311,7 +311,7 @@ func buildTaint(prog *Program) *TaintEngine {
 	sort.Strings(rootKeys)
 	// Tarjan emits each SCC after all SCCs it reaches — callees first —
 	// which is exactly the bottom-up order summaries need.
-	for _, scc := range stringSCCs(rootKeys, adj) {
+	for _, scc := range sccs(rootKeys, func(k string) []string { return adj[k] }) {
 		members := append([]string(nil), scc...)
 		sort.Strings(members)
 		for changed := true; changed; {

@@ -70,7 +70,7 @@ func FuzzTaintPropagation(f *testing.F) {
 			}
 			checkChains("float accum", fa.Pos, fa.Chains)
 		}
-		diags, err := lint.RunProgramAnalyzers(prog, []*lint.ProgramAnalyzer{
+		diags, err := lint.Run(prog, []*lint.Analyzer{
 			lint.DetOrderAnalyzer, lint.FPAssocAnalyzer, lint.SharedWriteAnalyzer,
 		})
 		if err != nil {

@@ -106,12 +106,12 @@ func TestTaintEngineCached(t *testing.T) {
 // (the fixture has no sink surfaces under this import path).
 func TestTaintReportOnFixture(t *testing.T) {
 	prog := taintProgram(t)
-	rep, err := lint.BuildTaintReport(prog)
+	rep, err := lint.BuildReport(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != lint.TaintReportSchema {
-		t.Errorf("schema = %q, want %q", rep.Schema, lint.TaintReportSchema)
+	if rep.Schema != lint.ReportSchema {
+		t.Errorf("schema = %q, want %q", rep.Schema, lint.ReportSchema)
 	}
 	if rep.Sinks == nil || rep.Roots == nil || rep.OrderInvariant == nil {
 		t.Error("report arrays must be non-nil for stable JSON")

@@ -26,12 +26,11 @@ var WallClockAnalyzer = &Analyzer{
 		"packages; wall-clock reads there break run-to-run reproducibility — " +
 		"a package whose purpose is timing opts out with " +
 		"`//hipo:allow-wallclock <reason>`",
-	Applies: func(path string) bool { return !isCommandPackage(path) },
-	Run:     runWallClock,
+	Run: perPackage(func(path string) bool { return !isCommandPackage(path) }, runWallClock),
 }
 
 func runWallClock(pass *Pass) error {
-	if pass.Package != nil && pass.Package.Annotations().AllowWallclock != "" {
+	if pass.Package.Annotations().AllowWallclock != "" {
 		return nil
 	}
 	for _, f := range pass.Files {
