@@ -54,11 +54,6 @@ type Options struct {
 	// forwarded to PDCS extraction.
 	SkipDominanceFilter   bool
 	SkipPairConstructions bool
-	// BruteForceVisibility disables the spatial visibility index
-	// (internal/visindex) and answers every occlusion query by exhaustive
-	// obstacle scan. The two paths produce identical placements; the brute
-	// path is kept as the differential reference and benchmark baseline.
-	BruteForceVisibility bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
 	// variant of Section 8.3.
@@ -80,16 +75,6 @@ func (o Options) canceled() error {
 	return o.Ctx.Err()
 }
 
-// withVisibility attaches the spatial visibility index for this solve
-// unless brute force was requested. Ensure clones, so the caller's scenario
-// is never mutated.
-func withVisibility(sc *model.Scenario, opt Options) *model.Scenario {
-	if opt.BruteForceVisibility {
-		return sc
-	}
-	return visindex.Ensure(sc)
-}
-
 // DefaultOptions returns the paper's default parameters (ε = 0.15).
 func DefaultOptions() Options { return Options{Eps: 0.15} }
 
@@ -105,7 +90,6 @@ func (o Options) ExtractConfig() pdcs.Config {
 		Workers:               o.Workers,
 		SkipDominanceFilter:   o.SkipDominanceFilter,
 		SkipPairConstructions: o.SkipPairConstructions,
-		BruteForceVisibility:  o.BruteForceVisibility,
 		Tracer:                o.Tracer,
 	}
 }
@@ -127,13 +111,13 @@ type Solution struct {
 }
 
 // Solve runs the full HIPO pipeline on the scenario. The spatial
-// visibility index is built once here (unless opted out) and shared by
-// every downstream occlusion query of the solve.
+// visibility index is built once here and shared by every downstream
+// occlusion query of the solve.
 func Solve(sc *model.Scenario, opt Options) (*Solution, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid scenario: %w", err)
 	}
-	sc = withVisibility(sc, opt)
+	sc = visindex.Ensure(sc)
 	cands, err := extractCandidates(sc, opt)
 	if err != nil {
 		return nil, err
@@ -150,7 +134,7 @@ func ExtractCandidates(sc *model.Scenario, opt Options) [][]pdcs.Candidate {
 
 // extractCandidates is ExtractCandidates with cancellation between types.
 func extractCandidates(sc *model.Scenario, opt Options) ([][]pdcs.Candidate, error) {
-	sc = withVisibility(sc, opt)
+	sc = visindex.Ensure(sc)
 	cfg := opt.ExtractConfig()
 	defer snapshotMemoStats(sc, opt.Tracer)()
 	// Types run sequentially; the position sweep inside each Extract is

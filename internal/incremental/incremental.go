@@ -21,9 +21,9 @@
 // Solve passes the memos to Extract's own pipeline, which recomputes the
 // gaps and runs the same dedup, filter, reducer, and dominance filter as a
 // cold solve, so every incremental solve is bit-for-bit identical to
-// core.Solve on the mutated scenario — the parity tests in this package and
-// the bench gate in cmd/hipobench enforce exactly that, not an approximate
-// agreement.
+// core.Solve on the mutated scenario — TestParityAcrossMutations in this
+// package and TestIncrementalMatchesColdSolve at the public API enforce
+// exactly that, not an approximate agreement.
 //
 // Selection is warm-started: round-0 singleton gains are content-addressed
 // by coverage list and replayed into submodular.GreedyLazyWarm. A gain is
@@ -110,7 +110,6 @@ type Stats struct {
 type Session struct {
 	sc    *model.Scenario
 	opt   core.Options
-	brute bool
 	memos []*pdcs.Memo // one per charger type
 
 	// gains content-addresses round-0 singleton gains by coverage list;
@@ -142,14 +141,7 @@ func NewSession(sc *model.Scenario, opt core.Options) (*Session, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("incremental: invalid scenario: %w", err)
 	}
-	s := &Session{
-		sc:    sc.Clone(),
-		opt:   opt,
-		brute: opt.ExtractConfig().BruteForceVisibility,
-	}
-	if !s.brute {
-		s.sc = visindex.Ensure(s.sc)
-	}
+	s := &Session{sc: visindex.Ensure(sc.Clone()), opt: opt}
 	s.memos = make([]*pdcs.Memo, len(s.sc.ChargerTypes))
 	for q := range s.memos {
 		s.memos[q] = pdcs.NewMemo(len(s.sc.Devices))
@@ -256,11 +248,9 @@ func (s *Session) applyOne(m Mutation) error {
 			}
 		}
 		s.sc.Obstacles = append(s.sc.Obstacles, m.Obstacle)
-		if !s.brute {
-			// Ensure detects the obstacle-set change by hash and rebuilds the
-			// index on a clone.
-			s.sc = visindex.Ensure(s.sc)
-		}
+		// Ensure detects the obstacle-set change by hash and rebuilds the
+		// index on a clone.
+		s.sc = visindex.Ensure(s.sc)
 		// Event angles and hole rays scan the full obstacle set, so every
 		// task's position workload is stale; sweeps depend on obstacles only
 		// within d_max of the position.

@@ -6,46 +6,42 @@ import (
 
 	"hipo/internal/discretize"
 	"hipo/internal/geom"
-	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/pdcs"
 	"hipo/internal/power"
 	"hipo/internal/schedule"
-	"hipo/internal/visindex"
 )
 
 // ExtractAll is the reference PDCS extraction, per charger type: the
 // pipeline as it stood before the spatial prefilters, batched line of
 // sight, pooling, and streaming reduction. pdcs.ExtractAll must reproduce
-// it bit for bit; it is the reference side of the bit-identity wall and
-// hipobench's baseline arm.
+// it bit for bit; it is the reference side of the bit-identity wall
+// (TestBitIdentityWall in internal/pdcs).
 //
 // Positions are generated on an index-free clone, so no obstacle is pruned
 // from ring cutting. Every position then scans every device, answers each
-// candidate ray with its own line-of-sight query, and sweeps Algorithm 1
-// with a per-position signature map. All candidates of a type are
-// concatenated before pdcs.FilterDominated. Each type's sweep is recorded
-// as a pdcs stage span on tr (nil records nothing).
-func ExtractAll(sc *model.Scenario, eps1 float64, tr *hipotrace.Tracer) [][]pdcs.Candidate {
+// candidate ray with its own line-of-sight query on sc, and sweeps
+// Algorithm 1 with a per-position signature map. sc is swept as given: with
+// a visibility index attached the queries go through it, without one they
+// scan every obstacle. All candidates of a type are concatenated before
+// pdcs.FilterDominated.
+func ExtractAll(sc *model.Scenario, eps1 float64) [][]pdcs.Candidate {
 	out := make([][]pdcs.Candidate, len(sc.ChargerTypes))
-	indexed := visindex.Ensure(sc)
 	for q, ct := range sc.ChargerTypes {
 		positions := discretize.CandidatePositions(sc.Clone(), q, discretize.Config{Eps1: eps1, BruteForceVisibility: true})
-		end := tr.StartStage(hipotrace.StagePDCS, "reference")
 		levels := make([]power.Levels, len(sc.DeviceTypes))
 		for t := range levels {
 			pp := sc.Power[q][t]
 			levels[t] = power.NewLevels(pp.A, pp.B, ct.DMin, ct.DMax, eps1)
 		}
 		perPos := schedule.RunPool(len(positions), runtime.GOMAXPROCS(0), func(i int) []pdcs.Candidate {
-			return sweep(indexed, q, positions[i], levels)
+			return sweep(sc, q, positions[i], levels)
 		})
 		var cands []pdcs.Candidate
 		for _, cs := range perPos {
 			cands = append(cands, cs...)
 		}
 		out[q] = pdcs.FilterDominated(cands, len(sc.Devices))
-		end()
 	}
 	return out
 }

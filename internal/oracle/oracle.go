@@ -11,11 +11,12 @@
 // for scenarios with a handful of candidates and single-digit charger
 // budgets.
 //
-// Extract is the reference PDCS extraction: the candidate pipeline before
+// ExtractAll is the reference PDCS extraction: the candidate pipeline before
 // its spatial prefilters, batched line of sight, pooling, and streaming
 // reduction, with every one of those off. pdcs.Extract must reproduce it
-// bit for bit (the bit-identity wall in internal/pdcs), and hipobench times
-// it as the baseline arm.
+// bit for bit (TestBitIdentityWall in internal/pdcs), and swept without a
+// visibility index it is the brute-force arm of
+// TestIndexedVsBruteForcePlacement.
 package oracle
 
 import (

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hipo/internal/core"
+	"hipo/internal/corpus"
 	"hipo/internal/geom"
 	"hipo/internal/model"
 	"hipo/internal/submodular"
@@ -211,27 +212,46 @@ func TestSolveMatchesInstanceGreedy(t *testing.T) {
 	}
 }
 
-// TestIndexedVsBruteForcePlacement is the end-to-end differential: the
-// spatial index must not change the solver's output in any bit — same
-// strategies, same order, same utility.
+// TestIndexedVsBruteForcePlacement is the end-to-end differential for the
+// spatial visibility index: core.Solve, which always attaches the index,
+// must place exactly what the brute-force arm places. That arm sweeps
+// ExtractAll on an index-free clone, so every occlusion query is an
+// obstacle scan, and selects with core.SelectFromCandidates. Same
+// strategies, same order, same utility, bit for bit, on both tiny
+// scenarios and one scenario from every corpus family.
 func TestIndexedVsBruteForcePlacement(t *testing.T) {
-	for variant := 0; variant <= 1; variant++ {
-		sc := tinyScenario(variant)
-		opt := coarseOptions()
-
-		opt.BruteForceVisibility = true
-		brute, err := core.Solve(sc, opt)
+	names := []string{"tiny/0", "tiny/1"}
+	scenarios := []*model.Scenario{tinyScenario(0), tinyScenario(1)}
+	for _, fam := range corpus.Names() {
+		sc, err := corpus.BuildModel(7, fam, 0)
 		if err != nil {
-			t.Fatalf("variant %d brute: %v", variant, err)
+			t.Fatal(err)
 		}
-		opt.BruteForceVisibility = false
+		names = append(names, fam)
+		scenarios = append(scenarios, sc)
+	}
+	opt := core.DefaultOptions()
+	eps1 := opt.ExtractConfig().Eps1
+	for k, sc := range scenarios {
+		name := names[k]
+		bare := sc.Clone()
+		if bare.AttachedVisibilityIndex() != nil {
+			t.Fatalf("%s: the brute-force arm carries a visibility index", name)
+		}
+		brute, err := core.SelectFromCandidates(bare, ExtractAll(bare, eps1), opt)
+		if err != nil {
+			t.Fatalf("%s brute: %v", name, err)
+		}
 		indexed, err := core.Solve(sc, opt)
 		if err != nil {
-			t.Fatalf("variant %d indexed: %v", variant, err)
+			t.Fatalf("%s indexed: %v", name, err)
 		}
 
+		if len(brute.Placed) == 0 {
+			t.Fatalf("%s: brute force placed nothing", name)
+		}
 		if len(brute.Placed) != len(indexed.Placed) {
-			t.Fatalf("variant %d: %d strategies brute force, %d indexed", variant, len(brute.Placed), len(indexed.Placed))
+			t.Fatalf("%s: %d strategies brute force, %d indexed", name, len(brute.Placed), len(indexed.Placed))
 		}
 		for i := range brute.Placed {
 			b, x := brute.Placed[i], indexed.Placed[i]
@@ -239,11 +259,11 @@ func TestIndexedVsBruteForcePlacement(t *testing.T) {
 				math.Float64bits(b.Pos.Y) != math.Float64bits(x.Pos.Y) ||
 				math.Float64bits(b.Orient) != math.Float64bits(x.Orient) ||
 				b.Type != x.Type {
-				t.Fatalf("variant %d: strategy %d differs: brute force %+v, indexed %+v", variant, i, b, x)
+				t.Fatalf("%s: strategy %d differs: brute force %+v, indexed %+v", name, i, b, x)
 			}
 		}
 		if math.Float64bits(brute.Utility) != math.Float64bits(indexed.Utility) {
-			t.Fatalf("variant %d: utility %v brute force, %v indexed", variant, brute.Utility, indexed.Utility)
+			t.Fatalf("%s: utility %v brute force, %v indexed", name, brute.Utility, indexed.Utility)
 		}
 	}
 }

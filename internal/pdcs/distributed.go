@@ -6,6 +6,7 @@ import (
 	"hipo/internal/discretize"
 	"hipo/internal/model"
 	"hipo/internal/schedule"
+	"hipo/internal/visindex"
 )
 
 // DistStats reports the timing of a distributed extraction run.
@@ -37,7 +38,7 @@ type DistStats struct {
 // estimates back the makespan simulation when no Clock measures real
 // durations.
 func ExtractDistributed(sc *model.Scenario, cfg Config, workers int, machineCounts []int) ([][]Candidate, DistStats) {
-	sc = cfg.ensureVisibility(sc)
+	sc = visindex.Ensure(sc)
 	if workers <= 0 {
 		workers = 1
 	}

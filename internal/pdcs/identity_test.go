@@ -15,6 +15,7 @@ import (
 
 	"hipo/internal/corpus"
 	"hipo/internal/expt"
+	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/oracle"
 	"hipo/internal/pdcs"
@@ -30,7 +31,7 @@ const wallEps = 0.3
 // (full device scans, per-ray grid walks, fresh allocations) on a fresh
 // clone with its own visibility index.
 func reference(sc *model.Scenario, eps1 float64) [][]pdcs.Candidate {
-	return oracle.ExtractAll(visindex.Ensure(sc.Clone()), eps1, nil)
+	return oracle.ExtractAll(visindex.Ensure(sc.Clone()), eps1)
 }
 
 // extractWith runs ExtractAll on a fresh clone with its own visibility
@@ -101,6 +102,49 @@ func TestBitIdentityWall(t *testing.T) {
 	if len(seen) < len(corpus.Names()) {
 		t.Fatalf("only %d distinct scenario hashes across %d families — the wall is not covering the corpus",
 			len(seen), len(corpus.Names()))
+	}
+}
+
+// TestTracedExtractInvariants runs the overhauled extraction with a tracer
+// attached on one scenario from every corpus family. Tracing must not change
+// the candidates (bit-identical to the seed pipeline), the trace must count
+// line-of-sight queries and kept candidates, and the overhaul's accelerators
+// must engage: batched line of sight on every scenario with obstacles, and
+// arena pool reuse across the sweep. Both pools are process-global, so reuse
+// is only asserted summed over the whole sweep.
+func TestTracedExtractInvariants(t *testing.T) {
+	eps1 := power.Eps1ForEps(wallEps)
+	var poolReuse int64
+	for _, fam := range corpus.Names() {
+		t.Run(fam, func(t *testing.T) {
+			sc, err := corpus.BuildModel(7, fam, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := hipotrace.New()
+			got := extractWith(sc, pdcs.Config{Eps1: eps1, Workers: 4, Tracer: tr})
+			if !candidatesBitIdentical(reference(sc, eps1), got) {
+				t.Fatal("traced extraction diverged from seed pipeline")
+			}
+			kept := 0
+			for _, cs := range got {
+				kept += len(cs)
+			}
+			if kept == 0 {
+				t.Fatal("extraction produced no candidates")
+			}
+			ctr := tr.Counters()
+			if ctr["los_queries"] == 0 || ctr["candidates_kept"] == 0 {
+				t.Fatalf("traced extraction breakdown incomplete: %v", ctr)
+			}
+			if len(sc.Obstacles) > 0 && ctr["los_batched"] == 0 {
+				t.Fatalf("batched line of sight never engaged on %d obstacles", len(sc.Obstacles))
+			}
+			poolReuse += ctr["pool_reuse"]
+		})
+	}
+	if poolReuse == 0 {
+		t.Fatal("extraction arena pools never reused a buffer across the sweep")
 	}
 }
 

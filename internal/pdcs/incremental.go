@@ -3,6 +3,7 @@ package pdcs
 import (
 	"hipo/internal/geom"
 	"hipo/internal/model"
+	"hipo/internal/visindex"
 )
 
 // Sweeper exposes the per-position Algorithm 1 sweep on its own: one
@@ -24,7 +25,7 @@ type Sweeper struct {
 // already carry a visibility index (visindex.Ensure); one is attached on a
 // clone otherwise.
 func NewSweeper(sc *model.Scenario, q int, cfg Config) *Sweeper {
-	sc = cfg.ensureVisibility(sc)
+	sc = visindex.Ensure(sc)
 	return &Sweeper{cfg: cfg, cache: newEligibleCache(sc, q, cfg.Eps1, cfg.Tracer)}
 }
 

@@ -457,7 +457,7 @@ func covered(a, b []DevPower, slack float64) bool {
 //
 //hipo:hotpath
 func Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
-	kept, _ := pipeline(cfg.ensureVisibility(sc), q, nil, cfg, nil, nil, nil)
+	kept, _ := pipeline(visindex.Ensure(sc), q, nil, cfg, nil, nil, nil)
 	return kept
 }
 
@@ -476,9 +476,6 @@ type Config struct {
 	SkipDominanceFilter bool
 	// SkipPairConstructions is forwarded to internal/discretize (ablation).
 	SkipPairConstructions bool
-	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
-	// scan instead of the spatial index (differential reference arm).
-	BruteForceVisibility bool
 	// Clock, when non-nil, supplies the timestamps behind the per-task
 	// durations of DistStats (Algorithm 5's LPT simulation input). It is
 	// injected by measurement harnesses (internal/expt) so the extraction
@@ -505,18 +502,8 @@ func (cfg Config) discretize(workers int) discretize.Config {
 		Eps1:                  cfg.Eps1,
 		Workers:               workers,
 		SkipPairConstructions: cfg.SkipPairConstructions,
-		BruteForceVisibility:  cfg.BruteForceVisibility,
 		Tracer:                cfg.Tracer,
 	}
-}
-
-// ensureVisibility attaches the spatial visibility index for this
-// extraction unless brute force was requested or one is already present.
-func (cfg Config) ensureVisibility(sc *model.Scenario) *model.Scenario {
-	if cfg.BruteForceVisibility {
-		return sc
-	}
-	return visindex.Ensure(sc)
 }
 
 // FilterDominated removes candidates that are dominated by another

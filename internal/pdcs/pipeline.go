@@ -9,6 +9,7 @@ import (
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
 	"hipo/internal/schedule"
+	"hipo/internal/visindex"
 )
 
 // PosKey is the exact bit pattern of a candidate position, the key of the
@@ -52,7 +53,7 @@ func NewMemo(devices int) *Memo {
 
 // Extract is pdcs.Extract served from and refilled into the memo.
 func (m *Memo) Extract(sc *model.Scenario, q int, cfg Config) []Candidate {
-	kept, _ := pipeline(cfg.ensureVisibility(sc), q, nil, cfg, m, nil, nil)
+	kept, _ := pipeline(visindex.Ensure(sc), q, nil, cfg, m, nil, nil)
 	return kept
 }
 
@@ -67,7 +68,7 @@ const sweepChunk = 256
 //	Algorithm 1 sweep per position → stream reducer → FilterDominated →
 //	detach survivors
 //
-// sc must already carry its visibility index (cfg.ensureVisibility); gen,
+// sc must already carry its visibility index (visindex.Ensure); gen,
 // when nil, is built here. It has two seams:
 //
 //   - memo, nil for a cold solve, serves task workloads and per-position
