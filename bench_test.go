@@ -347,6 +347,7 @@ func BenchmarkPDCSSweepPoint(b *testing.B) {
 func BenchmarkCandidateGeneration(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
 	cfg := discretize.Config{Eps1: power.Eps1ForEps(0.15)}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		discretize.CandidatePositions(sc, i%3, cfg)
@@ -371,6 +372,7 @@ func BenchmarkGreedySelection(b *testing.B) {
 // scenario (40 devices, 18 chargers, 2 obstacles).
 func BenchmarkEndToEndSolve(b *testing.B) {
 	sc := expt.BuildScenario(expt.Params{Seed: 1})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Solve(sc, core.DefaultOptions()); err != nil {

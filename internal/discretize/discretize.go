@@ -459,9 +459,16 @@ func ReleaseWorkloads(tasks [][]geom.Vec) {
 // the usefulness filter, which keeps positions within charging range of at
 // least one device. Both steps preserve order, so the positions task i
 // produced first form the contiguous run pts[ends[i-1]:ends[i]] (from 0
-// for task 0).
+// for task 0). The dedup is serial (first-wins depends on the order); the
+// filter runs in usefulChunk-position chunks on the generator's workers,
+// each chunk returning its own keep mask, and the kept positions are then
+// compacted in order, so the result does not depend on the worker count.
 func (g *Generator) Assemble(tasks [][]geom.Vec) (pts []geom.Vec, ends []int) {
-	dd := newDeduper()
+	n := 0
+	for _, t := range tasks {
+		n += len(t)
+	}
+	dd := newDeduper(n)
 	ends = make([]int, len(tasks))
 	for i, t := range tasks {
 		for _, p := range t {
@@ -469,18 +476,46 @@ func (g *Generator) Assemble(tasks [][]geom.Vec) (pts []geom.Vec, ends []int) {
 		}
 		ends[i] = len(dd.points)
 	}
-	pts = dd.points[:0]
-	mask := make([]uint64, g.dgrid.Words())
+	all := dd.points
+	keep := func(c int) []bool {
+		chunk := all[c*usefulChunk : min((c+1)*usefulChunk, len(all))]
+		mask := make([]uint64, g.dgrid.Words())
+		ok := make([]bool, len(chunk))
+		for k, p := range chunk {
+			ok[k] = g.useful(p, mask)
+		}
+		return ok
+	}
+	var masks [][]bool
+	if nc := (len(all) + usefulChunk - 1) / usefulChunk; nc > 1 {
+		masks = schedule.RunPool(nc, g.workers(), keep)
+	} else if nc == 1 {
+		masks = [][]bool{keep(0)}
+	}
+	pts = all[:0]
 	k := 0
 	for i, end := range ends {
 		for ; k < end; k++ {
-			if g.useful(dd.points[k], mask) {
-				pts = append(pts, dd.points[k])
+			if masks[k/usefulChunk][k%usefulChunk] {
+				pts = append(pts, all[k])
 			}
 		}
 		ends[i] = len(pts)
 	}
 	return pts, ends
+}
+
+// usefulChunk is the number of deduplicated positions one usefulness-filter
+// job tests: large enough to amortize the hand-out, small enough to balance
+// a few workers over the ~10⁵ positions of a large solve.
+const usefulChunk = 4096
+
+// workers is the resolved worker count: cfg.Workers, or GOMAXPROCS when 0.
+func (g *Generator) workers() int {
+	if g.cfg.Workers > 0 {
+		return g.cfg.Workers
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // useful reports whether p is within charging range of some device. Only
@@ -552,30 +587,98 @@ func (g *Generator) eventAngleSamples(j int) []geom.Vec {
 	return out
 }
 
-// deduper removes near-duplicate points using a hash grid with cell size
-// equal to the tolerance.
+// dedupTol is the deduplication tolerance, which is also the hash-cell
+// size: points within dedupTol of a kept point are dropped.
+const dedupTol = 1e-6
+
+// deduper removes near-duplicate points, keeping the first of each cluster.
+// Points hash to cells of side dedupTol; a new point is compared against the
+// kept points of its own and the eight surrounding cells, which hold every
+// point within dedupTol of it. The cells live in an open-addressed table
+// (linear probing, at most half full) whose slots head an int32 chain, via
+// next, of the kept points in that cell; a slot's cell is its head point's.
 type deduper struct {
-	tol    float64
-	cells  map[[2]int64][]int
+	slots  []int32 // the last point kept in the slot's cell, or -1 if empty
+	shift  uint    // 64 − log2(len(slots)): a hash's top bits pick its home slot
+	used   int
+	cells  [][2]int64 // cells[k]: kept point k's cell
+	next   []int32    // next[k]: the kept point before k in k's cell, or -1
 	points []geom.Vec
 }
 
-func newDeduper() *deduper {
-	return &deduper{tol: 1e-6, cells: make(map[[2]int64][]int)}
+// newDeduper returns a deduper sized for hint points, so a run adding at
+// most hint distinct cells never grows the table.
+func newDeduper(hint int) *deduper {
+	size := 16
+	for size < 2*hint {
+		size *= 2
+	}
+	d := &deduper{
+		cells:  make([][2]int64, 0, hint),
+		next:   make([]int32, 0, hint),
+		points: make([]geom.Vec, 0, hint),
+	}
+	d.alloc(size)
+	return d
+}
+
+// alloc installs an empty table of size slots, a power of two.
+func (d *deduper) alloc(size int) {
+	d.slots = make([]int32, size)
+	for i := range d.slots {
+		d.slots[i] = -1
+	}
+	d.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// find returns the index of cell c's slot, or of the empty slot where it
+// would go.
+func (d *deduper) find(c [2]int64) int {
+	h := (uint64(c[0]) ^ uint64(c[1])*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
+	mask := len(d.slots) - 1
+	for i := int(h >> d.shift); ; i = (i + 1) & mask {
+		if k := d.slots[i]; k < 0 || d.cells[k] == c {
+			return i
+		}
+	}
 }
 
 func (d *deduper) add(p geom.Vec) {
-	cx := int64(math.Floor(p.X / d.tol))
-	cy := int64(math.Floor(p.Y / d.tol))
+	c := [2]int64{int64(math.Floor(p.X / dedupTol)), int64(math.Floor(p.Y / dedupTol))}
+	home := 0
 	for dx := int64(-1); dx <= 1; dx++ {
 		for dy := int64(-1); dy <= 1; dy++ {
-			for _, idx := range d.cells[[2]int64{cx + dx, cy + dy}] {
-				if d.points[idx].Dist(p) <= d.tol {
+			i := d.find([2]int64{c[0] + dx, c[1] + dy})
+			if dx == 0 && dy == 0 {
+				home = i
+			}
+			for k := d.slots[i]; k >= 0; k = d.next[k] {
+				if d.points[k].Dist(p) <= dedupTol {
 					return
 				}
 			}
 		}
 	}
+	prev := d.slots[home]
+	d.slots[home] = int32(len(d.points))
 	d.points = append(d.points, p)
-	d.cells[[2]int64{cx, cy}] = append(d.cells[[2]int64{cx, cy}], len(d.points)-1)
+	d.cells = append(d.cells, c)
+	d.next = append(d.next, prev)
+	if prev < 0 {
+		if d.used++; 2*d.used > len(d.slots) {
+			d.grow()
+		}
+	}
+}
+
+// grow doubles the table, rehashing every occupied slot; the chains are
+// indices into points and move with their heads unchanged.
+func (d *deduper) grow() {
+	old := d.slots
+	d.alloc(2 * len(old))
+	for _, k := range old {
+		if k >= 0 {
+			d.slots[d.find(d.cells[k])] = k
+		}
+	}
 }

@@ -33,12 +33,21 @@ func (p Polygon) Validate() error {
 
 // Edges returns the polygon's edges including the closing edge.
 func (p Polygon) Edges() []Segment {
-	n := len(p.Vertices)
-	out := make([]Segment, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, Segment{p.Vertices[i], p.Vertices[(i+1)%n]})
+	out := make([]Segment, len(p.Vertices))
+	for i := range out {
+		out[i] = p.Edge(i)
 	}
 	return out
+}
+
+// Edge returns edge i, Edges()[i], without building the edge list:
+// per-query predicates walk vertex pairs through it and allocate nothing.
+func (p Polygon) Edge(i int) Segment {
+	j := i + 1
+	if j == len(p.Vertices) {
+		j = 0
+	}
+	return Segment{p.Vertices[i], p.Vertices[j]}
 }
 
 // Area returns the unsigned area of the polygon.
@@ -123,8 +132,8 @@ func (p Polygon) containsInterior(q Vec) bool {
 
 // OnBoundary reports whether q lies on an edge of the polygon within Eps.
 func (p Polygon) OnBoundary(q Vec) bool {
-	for _, e := range p.Edges() {
-		if e.ContainsPoint(q) {
+	for i := range p.Vertices {
+		if p.Edge(i).ContainsPoint(q) {
 			return true
 		}
 	}
@@ -134,8 +143,8 @@ func (p Polygon) OnBoundary(q Vec) bool {
 // IntersectsSegment reports whether segment s touches the polygon boundary
 // or has an endpoint inside the polygon.
 func (p Polygon) IntersectsSegment(s Segment) bool {
-	for _, e := range p.Edges() {
-		if SegmentsIntersect(e, s) {
+	for i := range p.Vertices {
+		if SegmentsIntersect(p.Edge(i), s) {
 			return true
 		}
 	}
@@ -149,27 +158,53 @@ func (p Polygon) IntersectsSegment(s Segment) bool {
 // grazes an obstacle corner is not blocked, while one entering the obstacle
 // is.
 func (p Polygon) BlocksSegment(s Segment) bool {
-	return p.BlocksSegmentEdges(s, p.Edges())
-}
-
-// BlocksSegmentEdges is BlocksSegment evaluated against a caller-supplied
-// edge list, which must be exactly p.Edges(). Hot paths that test many
-// segments against the same polygon (the visibility index walks, viewpoint
-// batching) pass a cached list so the predicate allocates nothing; the
-// answer is identical to BlocksSegment by construction.
-func (p Polygon) BlocksSegmentEdges(s Segment, edges []Segment) bool {
 	lo, hi := p.BoundingBox()
-	return p.BlocksSegmentEdgesBB(s, edges, lo, hi)
+	if !mayBlock(s, lo, hi) {
+		return false
+	}
+	r := newBlockRay(s)
+	var tsBuf [12]float64
+	ts := append(tsBuf[:0], 0, 1)
+	for i := range p.Vertices {
+		var crosses bool
+		if ts, crosses = r.meet(p.Edge(i), ts); crosses {
+			return true
+		}
+	}
+	return p.sampleBlocked(s, ts)
 }
 
-// BlocksSegmentEdgesBB is BlocksSegmentEdges with the polygon's bounding
-// box (exactly p.BoundingBox()) also supplied by the caller, for hot paths
-// that cache it alongside the edge list.
+// BlocksSegmentEdgesBB is BlocksSegment evaluated against a caller-supplied
+// edge list and bounding box, which must be exactly p.Edges() and
+// p.BoundingBox(). Hot paths that test many segments against the same
+// polygon (the visibility index walks, viewpoint batching) cache both, so
+// the predicate allocates and recomputes nothing; the answer is identical
+// to BlocksSegment by construction.
 func (p Polygon) BlocksSegmentEdgesBB(s Segment, edges []Segment, lo, hi Vec) bool {
+	if !mayBlock(s, lo, hi) {
+		return false
+	}
+	r := newBlockRay(s)
+	var tsBuf [12]float64
+	ts := append(tsBuf[:0], 0, 1)
+	for _, e := range edges {
+		var crosses bool
+		if ts, crosses = r.meet(e, ts); crosses {
+			return true
+		}
+	}
+	return p.sampleBlocked(s, ts)
+}
+
+// mayBlock screens out the segments no polygon with bounding box [lo, hi]
+// can block: near-zero-length ones and those wholly beyond the box.
+func mayBlock(s Segment, lo, hi Vec) bool {
 	// Degenerate-segment guard. The Len2 screen is decisive when it fails:
 	// computed |s|² > 4·Eps² forces the true length above ~2·Eps, so the
 	// rounded Len() is certainly above Eps and the Hypot call can be skipped
-	// without changing the branch taken.
+	// without changing the branch taken. A segment that passes therefore
+	// has |s|² > 0 (an underflowing |s|² means |s| ≤ Eps), so blockRay's
+	// parameter division is well defined.
 	if s.Dir().Len2() <= 4*Eps*Eps && s.Len() <= Eps {
 		return false
 	}
@@ -178,42 +213,53 @@ func (p Polygon) BlocksSegmentEdgesBB(s Segment, edges []Segment, lo, hi Vec) bo
 	// conjunction is the branch-only form of max(A,B) < t / min(A,B) > t,
 	// equivalent for every input including NaN (any NaN coordinate fails
 	// both forms).
-	if (s.A.X < lo.X-Eps && s.B.X < lo.X-Eps) || (s.A.X > hi.X+Eps && s.B.X > hi.X+Eps) ||
-		(s.A.Y < lo.Y-Eps && s.B.Y < lo.Y-Eps) || (s.A.Y > hi.Y+Eps && s.B.Y > hi.Y+Eps) {
-		return false
-	}
-	for _, e := range edges {
-		if SegmentsCrossInterior(s, e) {
-			return true
-		}
-	}
-	// The segment may pass through the interior touching only at vertices
-	// (e.g. entering through one vertex and exiting through another), or lie
-	// entirely inside. Sample interior points between boundary hits.
-	return p.interiorSampleBlocked(s, edges)
+	return !((s.A.X < lo.X-Eps && s.B.X < lo.X-Eps) || (s.A.X > hi.X+Eps && s.B.X > hi.X+Eps) ||
+		(s.A.Y < lo.Y-Eps && s.B.Y < lo.Y-Eps) || (s.A.Y > hi.Y+Eps && s.B.Y > hi.Y+Eps))
 }
 
-func (p Polygon) interiorSampleBlocked(s Segment, edges []Segment) bool {
-	// Collect parameters of all boundary contacts, then test the midpoint of
-	// every sub-interval for interior containment. The stack buffer covers
-	// typical contact counts; append spills to the heap only for segments
-	// grazing many edges.
-	var tsBuf [12]float64
-	ts := append(tsBuf[:0], 0, 1)
+// blockRay is the per-segment state of the one-pass blocking scan: the
+// direction, its squared length and its length, each computed once per
+// segment instead of once per edge.
+type blockRay struct {
+	s       Segment
+	d       Vec
+	l2, len float64
+}
+
+func newBlockRay(s Segment) blockRay {
 	d := s.Dir()
-	l2 := d.Len2()
-	if l2 <= 0 {
-		// Degenerate zero-length probe: a single point, blocked iff it sits
-		// strictly inside. Dividing by l2 below would poison every parameter
-		// with NaN.
-		return p.containsInterior(s.A)
+	return blockRay{s: s, d: d, l2: d.Len2(), len: d.Len()}
+}
+
+// meet tests one polygon edge. One intersection decides both questions
+// the blocking predicate asks of the edge: whether the segment crosses it
+// in the open interiors (SegmentsCrossInterior, including the collinear
+// overlap case) and, when it does not, the clamped segment parameter of
+// their contact point, appended to ts for the interior sampling.
+func (r *blockRay) meet(e Segment, ts []float64) ([]float64, bool) {
+	s := r.s
+	q, ok := segmentIntersectionLen(s, e, r.len)
+	if !ok {
+		// Could still overlap collinearly; test interior overlap.
+		return ts, orient(s.A, s.B, e.A) == 0 && orient(s.A, s.B, e.B) == 0 && collinearInteriorOverlap(s, e)
 	}
-	for _, e := range edges {
-		if q, ok := SegmentIntersection(s, e); ok {
-			t := q.Sub(s.A).Dot(d) / l2
-			ts = append(ts, math.Max(0, math.Min(1, t)))
-		}
+	if !q.Eq(s.A) && !q.Eq(s.B) && !q.Eq(e.A) && !q.Eq(e.B) {
+		return ts, true
 	}
+	//lint:ignore nanflow every caller runs mayBlock first, which rejects each segment whose |s|² is 0, so l2 is strictly positive
+	t := q.Sub(s.A).Dot(r.d) / r.l2
+	return append(ts, math.Max(0, math.Min(1, t))), false
+}
+
+// sampleBlocked finishes the blocking predicate once no edge is crossed in
+// the open: the segment may still pass through the interior touching the
+// boundary only at vertices (entering through one vertex and exiting
+// through another), or lie entirely inside. ts holds 0, 1 and the
+// parameter of every boundary contact; the midpoint of every sub-interval
+// between them is tested for interior containment. The caller's stack
+// buffer covers typical contact counts; append spills to the heap only for
+// segments grazing many edges.
+func (p Polygon) sampleBlocked(s Segment, ts []float64) bool {
 	sortFloats(ts)
 	for i := 0; i+1 < len(ts); i++ {
 		if ts[i+1]-ts[i] < 1e-9 {

@@ -128,10 +128,18 @@ func collinearInteriorOverlap(s, t Segment) bool {
 // segments s and t, if one exists. Collinear overlapping segments report no
 // unique point (ok = false).
 func SegmentIntersection(s, t Segment) (Vec, bool) {
+	return segmentIntersectionLen(s, t, s.Dir().Len())
+}
+
+// segmentIntersectionLen is SegmentIntersection with |s| supplied by the
+// caller (exactly s.Dir().Len()), so a scan testing one segment against
+// many edges computes that length once. Every float operation is
+// SegmentIntersection's, so the results are bit-identical.
+func segmentIntersectionLen(s, t Segment, sLen float64) (Vec, bool) {
 	r := s.Dir()
 	q := t.Dir()
 	den := r.Cross(q)
-	scale := math.Max(1, r.Len()*q.Len())
+	scale := math.Max(1, sLen*q.Len())
 	if math.Abs(den) <= Eps*scale {
 		return Vec{}, false
 	}

@@ -46,7 +46,8 @@ func ShadowIntervals(p geom.Vec, poly geom.Polygon) *geom.IntervalSet {
 		s.Add(geom.FullCircle())
 		return &s
 	}
-	for _, e := range poly.Edges() {
+	for i := range poly.Vertices {
+		e := poly.Edge(i)
 		ta := e.A.Sub(p).Angle()
 		tb := e.B.Sub(p).Angle()
 		// A segment viewed from an external point subtends < π; take the

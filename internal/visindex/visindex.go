@@ -204,8 +204,8 @@ func clampInt(v, hi int) int {
 
 // LineOfSight reports whether the open segment a–b is free of obstacles. It
 // walks the grid cells pierced by the segment (Amanatides–Woo DDA) and runs
-// the exact Polygon.BlocksSegment predicate on each obstacle encountered,
-// each at most once.
+// the exact Polygon.BlocksSegment predicate, on the cached edges and box,
+// on each obstacle encountered, each at most once.
 func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 	if len(ix.obs) == 0 {
 		return true
@@ -234,7 +234,7 @@ func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 				continue
 			}
 			mask[w] |= bit
-			if ix.obs[h].Shape.BlocksSegment(s) {
+			if ix.obs[h].Shape.BlocksSegmentEdgesBB(s, ix.edges[h], ix.bbLo[h], ix.bbHi[h]) {
 				blocked = true
 				return false
 			}
@@ -247,7 +247,20 @@ func (ix *Index) LineOfSight(a, b geom.Vec) bool {
 
 // PointInObstacle reports whether p lies strictly inside any obstacle,
 // using the exact Polygon.ContainsInterior predicate on the obstacles
-// registered in p's cell.
+// registered in p's cell whose padded bounding box contains p.
+//
+// Skipping an obstacle whose padded box (its exact box grown by gridPad =
+// 1e-6) excludes p cannot change the answer, because ContainsInterior is
+// false for every such p. A boundary point answers false by definition
+// (OnBoundary accepts distance ≤ 1e-9, which a point outside the box
+// cannot have anyway), so only the even-odd crossing count matters.
+// Beyond the box in y, no edge straddles the horizontal through p: zero
+// crossings. Left of the box in x, every straddling edge's crossing lies
+// to the right of p, and a closed polygon has an even number of
+// straddling edges: even. Right of the box in x, none lies to the right:
+// zero. The x cases rely on the rounded crossing abscissa staying within
+// a few ulps of the edge's x range, far inside the 1e-6 pad — the same
+// margin the grid registration already relies on.
 func (ix *Index) PointInObstacle(p geom.Vec) bool {
 	if len(ix.obs) == 0 {
 		return false
@@ -257,6 +270,10 @@ func (ix *Index) PointInObstacle(p geom.Vec) bool {
 	}
 	cx, cy := ix.cellOf(p)
 	for _, h := range ix.cells[cy*ix.nx+cx] {
+		lo, hi := ix.boxLo[h], ix.boxHi[h]
+		if p.X < lo.X || p.X > hi.X || p.Y < lo.Y || p.Y > hi.Y {
+			continue
+		}
 		if ix.obs[h].Shape.ContainsInterior(p) {
 			return true
 		}

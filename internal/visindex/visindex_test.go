@@ -124,6 +124,62 @@ func TestPointInObstacleDifferential(t *testing.T) {
 	}
 }
 
+// TestPointInObstacleBoxEdge probes the padded-box skip in PointInObstacle
+// right at its threshold: points within a few pads of every obstacle's
+// bounding box corners and edge midpoints, where the skip and the exact
+// predicate meet.
+func TestPointInObstacleBoxEdge(t *testing.T) {
+	sc := randomScenario(7, 30)
+	sc.Obstacles = append(sc.Obstacles, model.Obstacle{Shape: geom.RegularPolygon(geom.V(20, 20), 3, 16, 0.3)})
+	ix := New(sc)
+	offs := []float64{-3 * gridPad, -gridPad, -gridPad / 2, -geom.Eps, 0, geom.Eps, gridPad / 2, gridPad, 3 * gridPad}
+	for _, o := range sc.Obstacles {
+		lo, hi := o.Shape.BoundingBox()
+		mid := lo.Add(hi).Scale(0.5)
+		for _, x := range []float64{lo.X, mid.X, hi.X} {
+			for _, y := range []float64{lo.Y, mid.Y, hi.Y} {
+				for _, dx := range offs {
+					for _, dy := range offs {
+						p := geom.V(x+dx, y+dy)
+						want := false
+						for _, o2 := range sc.Obstacles {
+							want = want || o2.Shape.ContainsInterior(p)
+						}
+						if got := ix.PointInObstacle(p); got != want {
+							t.Fatalf("PointInObstacle(%v) = %v, brute force %v", p, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPointInObstacleAllocFree pins the indexed feasibility query, and the
+// scenario-level FeasiblePosition that delegates to it, at zero
+// allocations.
+func TestPointInObstacleAllocFree(t *testing.T) {
+	sc := randomScenario(3, 25)
+	sc.Obstacles = append(sc.Obstacles, model.Obstacle{Shape: geom.RegularPolygon(geom.V(20, 20), 3, 16, 0.3)})
+	sc.AttachVisibilityIndex(New(sc))
+	ix := sc.AttachedVisibilityIndex()
+	pts := []geom.Vec{
+		geom.V(20, 20),                        // inside the 16-gon
+		sc.Obstacles[0].Shape.Vertices[0],     // on a boundary
+		sc.Obstacles[0].Shape.Centroid(),      // inside (or near) another obstacle
+		geom.V(0.5, 39.5), geom.V(17.1, 22.9), // free space
+		geom.V(-5, 20), // outside the index and the region
+	}
+	for _, p := range pts {
+		if allocs := testing.AllocsPerRun(100, func() { ix.PointInObstacle(p) }); allocs != 0 {
+			t.Errorf("PointInObstacle(%v): %v allocs per call, want 0", p, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sc.FeasiblePosition(p) }); allocs != 0 {
+			t.Errorf("FeasiblePosition(%v): %v allocs per call, want 0", p, allocs)
+		}
+	}
+}
+
 // TestScenarioDelegation verifies that attaching the index leaves the
 // scenario-level predicates bit-for-bit unchanged.
 func TestScenarioDelegation(t *testing.T) {
