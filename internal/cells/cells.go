@@ -273,15 +273,3 @@ func (c *Cell) Area(prof *radial.Profile) float64 {
 	}
 	return prof.FeasibleArea(c.Arc.Lo, c.Arc.Hi, c.R0, c.R1)
 }
-
-// TotalArea sums the areas of all feasible cells of device j under charger
-// type q — by construction this equals the exact feasible placement area of
-// radial.FeasibleAreaForDevice.
-func TotalArea(sc *model.Scenario, q, j int, eps1 float64) float64 {
-	prof := radial.NewProfile(sc, sc.Devices[j].Pos)
-	total := 0.0
-	for _, c := range DeviceCells(sc, q, j, eps1) {
-		total += c.Area(prof)
-	}
-	return total
-}

@@ -228,6 +228,18 @@ func TestClipSegmentToDisk(t *testing.T) {
 	}
 }
 
+// totalArea sums the areas of all feasible cells of device j under charger
+// type q — by construction this equals the exact feasible placement area of
+// radial.FeasibleAreaForDevice.
+func totalArea(sc *model.Scenario, q, j int, eps1 float64) float64 {
+	prof := radial.NewProfile(sc, sc.Devices[j].Pos)
+	total := 0.0
+	for _, c := range DeviceCells(sc, q, j, eps1) {
+		total += c.Area(prof)
+	}
+	return total
+}
+
 // Property: the cell decomposition tiles the feasible region exactly — the
 // summed cell areas equal the analytic feasible-area integral of
 // internal/radial, with and without obstacles.
@@ -246,7 +258,7 @@ func TestCellAreasSumToFeasibleArea(t *testing.T) {
 		if !sc.FeasiblePosition(sc.Devices[0].Pos) {
 			continue
 		}
-		cellSum := TotalArea(sc, 0, 0, 0.3)
+		cellSum := totalArea(sc, 0, 0, 0.3)
 		analytic := radial.FeasibleAreaForDevice(sc, 0, 0)
 		// The analytic integral's panels are bounded by obstacle-vertex
 		// events, but the min(R1, ρ) kink where ρ crosses a band radius

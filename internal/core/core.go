@@ -10,7 +10,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"hipo/internal/hipotrace"
 	"hipo/internal/model"
@@ -50,10 +49,9 @@ type Options struct {
 	// (0 = GOMAXPROCS). Extraction per charger type and per candidate
 	// position is embarrassingly parallel.
 	Workers int
-	// SkipDominanceFilter and SkipPairConstructions are ablation switches
-	// forwarded to PDCS extraction.
-	SkipDominanceFilter   bool
-	SkipPairConstructions bool
+	// SkipDominanceFilter is an ablation switch forwarded to PDCS
+	// extraction.
+	SkipDominanceFilter bool
 	// Objective overrides the per-device utility curves; nil uses the
 	// charging utility of Eq. (3). Used by the proportional-fairness
 	// variant of Section 8.3.
@@ -86,11 +84,10 @@ func (o Options) ExtractConfig() pdcs.Config {
 		eps = 0.15
 	}
 	return pdcs.Config{
-		Eps1:                  power.Eps1ForEps(eps),
-		Workers:               o.Workers,
-		SkipDominanceFilter:   o.SkipDominanceFilter,
-		SkipPairConstructions: o.SkipPairConstructions,
-		Tracer:                o.Tracer,
+		Eps1:                power.Eps1ForEps(eps),
+		Workers:             o.Workers,
+		SkipDominanceFilter: o.SkipDominanceFilter,
+		Tracer:              o.Tracer,
 	}
 }
 
@@ -262,21 +259,4 @@ func (o Options) TheoreticalRatio() float64 {
 		eps = 0.15
 	}
 	return 0.5 - eps
-}
-
-// Complexity returns the time-complexity bound of Theorem 4.2,
-// O(Ns · No⁴ · ε⁻² · Nh² · c²), evaluated for the scenario's sizes; c is
-// the maximum obstacle vertex count. Reported by benchmarks for context.
-func Complexity(sc *model.Scenario, eps float64) float64 {
-	ns := float64(sc.TotalChargers())
-	no := float64(len(sc.Devices))
-	nh := float64(len(sc.Obstacles))
-	c := 0.0
-	for _, o := range sc.Obstacles {
-		c = math.Max(c, float64(len(o.Shape.Vertices)))
-	}
-	if len(sc.Obstacles) == 0 {
-		nh, c = 1, 1 // the bound's obstacle factor degenerates
-	}
-	return ns * math.Pow(no, 4) / (eps * eps) * nh * nh * c * c
 }

@@ -204,25 +204,6 @@ func TestTheoreticalRatio(t *testing.T) {
 	}
 }
 
-func TestComplexityMonotone(t *testing.T) {
-	sc := smallScenario()
-	c1 := Complexity(sc, 0.15)
-	sc2 := sc.Clone()
-	sc2.Devices = append(sc2.Devices, sc2.Devices...)
-	c2 := Complexity(sc2, 0.15)
-	if c2 <= c1 {
-		t.Errorf("complexity should grow with devices: %v vs %v", c1, c2)
-	}
-	if c3 := Complexity(sc, 0.05); c3 <= c1 {
-		t.Errorf("complexity should grow as eps shrinks")
-	}
-	noObs := sc.Clone()
-	noObs.Obstacles = nil
-	if Complexity(noObs, 0.15) <= 0 {
-		t.Error("obstacle-free complexity must stay positive")
-	}
-}
-
 func TestSolveNoFeasibleCandidates(t *testing.T) {
 	sc := smallScenario()
 	// Devices with tiny receiving angle facing away from everything the

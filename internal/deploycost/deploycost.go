@@ -1,12 +1,9 @@
 package deploycost
 
 import (
-	"math"
-
 	"hipo/internal/core"
 	"hipo/internal/geom"
 	"hipo/internal/model"
-	"hipo/internal/pdcs"
 	"hipo/internal/submodular"
 )
 
@@ -122,18 +119,4 @@ func SolveBudgeted(sc *model.Scenario, cm CostModel, budget float64, opt core.Op
 	}
 	out.Utility = res.Value
 	return out, nil
-}
-
-// CheapestFeasible returns the minimum budget at which any strategy is
-// affordable, useful for sweeping budgets in experiments.
-func CheapestFeasible(cands [][]pdcs.Candidate, cm CostModel) float64 {
-	best := math.Inf(1)
-	for _, group := range cands {
-		for _, c := range group {
-			if v := cm.StrategyCost(c.S); v < best {
-				best = v
-			}
-		}
-	}
-	return best
 }

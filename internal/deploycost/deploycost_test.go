@@ -180,18 +180,3 @@ func TestTourCostAndPlacementCost(t *testing.T) {
 		t.Errorf("placement cost = %v, want 8", got)
 	}
 }
-
-func TestCheapestFeasible(t *testing.T) {
-	sc := costScenario()
-	cm := LinearCostModel(geom.V(10, 10), 1, 0, 0, nil)
-	cands := core.ExtractCandidates(sc, core.DefaultOptions())
-	cheapest := CheapestFeasible(cands, cm)
-	if math.IsInf(cheapest, 1) {
-		t.Fatal("no candidates found")
-	}
-	// The cheapest candidate is at least DMin away from the nearest device
-	// circle... it just must be a nonnegative finite number.
-	if cheapest < 0 {
-		t.Errorf("cheapest = %v", cheapest)
-	}
-}

@@ -111,10 +111,11 @@ func TestDeduperMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestAssembleMatchesSerialReference runs Assemble on enough positions for
-// several usefulness-filter chunks, at one and three workers, against the
-// serial reference it replaced: the map deduper, then the filter applied
-// point by point in order; the per-task ends must match too.
+// TestAssembleMatchesSerialReference runs Assemble at one and three
+// workers against the serial reference: the map deduper over the task
+// workloads in device order, with the per-task ends read off as each task
+// is added. Positions out of every device's charging range are injected
+// and must be kept: Assemble deduplicates and filters nothing else.
 func TestAssembleMatchesSerialReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sc := twoDeviceScenario()
@@ -133,45 +134,43 @@ func TestAssembleMatchesSerialReference(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		g := NewGenerator(sc, 0, Config{Eps1: 0.3, Workers: workers})
 		tasks := g.Workloads(nil, workers, nil, nil)
-		// Every generated position is in range of its own device; add
-		// positions out of every device's range so the filter drops some.
+		far := 0
 		for i := range tasks {
 			for j := 0; j < i%5; j++ {
 				tasks[i] = append(tasks[i], geom.V(-100-float64(i), float64(j)))
+				far++
 			}
 		}
 		ref := newMapDeduper()
 		var refEnds []int
-		mask := make([]uint64, g.dgrid.Words())
-		var refPts []geom.Vec
-		k := 0
 		for _, task := range tasks {
 			for _, p := range task {
 				ref.add(p)
 			}
-			for ; k < len(ref.points); k++ {
-				if g.useful(ref.points[k], mask) {
-					refPts = append(refPts, ref.points[k])
-				}
-			}
-			refEnds = append(refEnds, len(refPts))
+			refEnds = append(refEnds, len(ref.points))
 		}
-		if len(ref.points) < 3*usefulChunk || len(refPts) == len(ref.points) {
-			t.Fatalf("%d deduplicated positions, %d useful: too few chunks or nothing filtered", len(ref.points), len(refPts))
+		pts, ends := Assemble(tasks)
+		if len(pts) != len(ref.points) {
+			t.Fatalf("workers %d: %d positions, serial reference %d", workers, len(pts), len(ref.points))
 		}
-		pts, ends := g.Assemble(tasks)
-		if len(pts) != len(refPts) {
-			t.Fatalf("workers %d: %d positions, serial reference %d", workers, len(pts), len(refPts))
-		}
-		for i := range refPts {
-			if pts[i] != refPts[i] {
-				t.Fatalf("workers %d: position %d = %v, serial reference %v", workers, i, pts[i], refPts[i])
+		for i := range ref.points {
+			if pts[i] != ref.points[i] {
+				t.Fatalf("workers %d: position %d = %v, serial reference %v", workers, i, pts[i], ref.points[i])
 			}
 		}
 		for i := range refEnds {
 			if ends[i] != refEnds[i] {
 				t.Fatalf("workers %d: ends[%d] = %d, serial reference %d", workers, i, ends[i], refEnds[i])
 			}
+		}
+		kept := 0
+		for _, p := range pts {
+			if p.X < -50 {
+				kept++
+			}
+		}
+		if kept != far {
+			t.Fatalf("workers %d: kept %d of %d injected out-of-range positions", workers, kept, far)
 		}
 		ReleaseWorkloads(tasks)
 	}

@@ -42,10 +42,6 @@ type Config struct {
 	// Workers bounds the goroutines generating per-device positions
 	// (0 = GOMAXPROCS).
 	Workers int
-	// SkipPairConstructions disables the device-pair line/arc constructions
-	// (Algorithm 2 steps 1–7), leaving only per-device ring events. Used by
-	// ablation benchmarks.
-	SkipPairConstructions bool
 	// BruteForceVisibility answers occlusion queries by exhaustive obstacle
 	// scan instead of the spatial index (differential reference arm).
 	BruteForceVisibility bool
@@ -108,10 +104,9 @@ type Generator struct {
 	// neighbors[i] lists, ascending, the devices within 2·d_max of device i
 	// (the O_i^k of Algorithm 4), excluding i itself.
 	neighbors [][]int
-	// ix (the scenario's visibility index, nil without one) and dgrid (a
-	// device-position grid) power the spatial prefilters.
-	ix    *visindex.Index
-	dgrid *visindex.DeviceGrid
+	// ix is the scenario's visibility index (nil without one), which
+	// powers the obstacle prefilter.
+	ix *visindex.Index
 }
 
 // prunePad widens every pruning radius. Like visindex's grid padding it
@@ -177,14 +172,14 @@ func (g *Generator) buildNeighbors() {
 	for i := range pts {
 		pts[i] = sc.Devices[i].Pos
 	}
-	g.dgrid = visindex.NewDeviceGrid(pts, ct.DMax/2)
-	mask := make([]uint64, g.dgrid.Words())
+	dgrid := visindex.NewDeviceGrid(pts, ct.DMax/2)
+	mask := make([]uint64, dgrid.Words())
 	pruned := int64(0)
 	for i := 0; i < no; i++ {
 		for w := range mask {
 			mask[w] = 0
 		}
-		g.dgrid.CollectDisk(pts[i], r+prunePad, mask)
+		dgrid.CollectDisk(pts[i], r+prunePad, mask)
 		scanned := 0
 		visindex.EachSet(mask, func(j int) {
 			if j == i {
@@ -260,9 +255,9 @@ func (g *Generator) deviceSegs(j int) (segs []geom.Segment, pooled bool) {
 
 // appendPairPositions emits the candidate positions arising from the
 // device pair (i, j): ring/ring intersections, cross ring/sector-edge and
-// ring/hole-ray intersections, and — unless disabled — Algorithm 2's line
-// and inscribed-arc constructions. Not deduplicated. It assumes the pair is
-// within 2·d_max (callers walk precomputed neighbor sets).
+// ring/hole-ray intersections, and Algorithm 2's line and inscribed-arc
+// constructions. Not deduplicated. It assumes the pair is within 2·d_max
+// (callers walk precomputed neighbor sets).
 func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	ct := g.sc.ChargerTypes[g.q]
 	pi, pj := g.sc.Devices[i].Pos, g.sc.Devices[j].Pos
@@ -297,9 +292,6 @@ func (g *Generator) appendPairPositions(out []geom.Vec, i, j int) []geom.Vec {
 	crossSegs(g.circles[j], g.edges[i])
 	crossSegs(g.circles[j], g.holes[i])
 
-	if g.cfg.SkipPairConstructions {
-		return out
-	}
 	both := make([]geom.Circle, 0, len(g.circles[i])+len(g.circles[j]))
 	both = append(both, g.circles[i]...)
 	both = append(both, g.circles[j]...)
@@ -364,19 +356,18 @@ func (g *Generator) TaskCost(i int) float64 {
 		cost += ci*cj +
 			ci*float64(len(g.edges[j])+len(g.holes[j])) +
 			cj*float64(len(g.edges[i])+len(g.holes[i]))
-		if !g.cfg.SkipPairConstructions {
-			// Line plus two inscribed-arc circles against both ring sets
-			// and both sector-edge pairs.
-			cost += 3*(ci+cj) + 2*float64(len(g.edges[i])+len(g.edges[j]))
-		}
+		// Line plus two inscribed-arc circles against both ring sets and
+		// both sector-edge pairs.
+		cost += 3*(ci+cj) + 2*float64(len(g.edges[i])+len(g.edges[j]))
 	}
 	return cost
 }
 
 // CandidatePositions returns the candidate charger positions for charger
 // type q: the deduplicated union of all task workloads, restricted to the
-// deployment region, outside obstacle interiors, and within charging range
-// of at least one device. Task workloads run in parallel on cfg.Workers
+// deployment region and outside obstacle interiors. Each lies within
+// charging range of some device as a consequence of the construction (see
+// Assemble). Task workloads run in parallel on cfg.Workers
 // goroutines (0 = GOMAXPROCS), handed out in LPT order under the shared
 // TaskCost model so the longest tasks start first; position buffers are
 // pooled across tasks. Deduplication is order-stable over task order, so
@@ -390,7 +381,7 @@ func CandidatePositions(sc *model.Scenario, q int, cfg Config) []geom.Vec {
 	}
 	g := NewGenerator(sc, q, cfg)
 	tasks := g.Workloads(nil, cfg.Workers, nil, nil)
-	pts, _ := g.Assemble(tasks)
+	pts, _ := Assemble(tasks)
 	ReleaseWorkloads(tasks)
 	return pts
 }
@@ -455,15 +446,23 @@ func ReleaseWorkloads(tasks [][]geom.Vec) {
 }
 
 // Assemble builds the candidate-position list from task workloads in device
-// order: first-wins dedup (1e-6 tolerance) over their concatenation, then
-// the usefulness filter, which keeps positions within charging range of at
-// least one device. Both steps preserve order, so the positions task i
-// produced first form the contiguous run pts[ends[i-1]:ends[i]] (from 0
-// for task 0). The dedup is serial (first-wins depends on the order); the
-// filter runs in usefulChunk-position chunks on the generator's workers,
-// each chunk returning its own keep mask, and the kept positions are then
-// compacted in order, so the result does not depend on the worker count.
-func (g *Generator) Assemble(tasks [][]geom.Vec) (pts []geom.Vec, ends []int) {
+// order: first-wins dedup (1e-6 tolerance) over their concatenation. The
+// dedup preserves order, so the positions task i produced first form the
+// contiguous run pts[ends[i-1]:ends[i]] (from 0 for task 0).
+//
+// No position is dropped for being out of every device's charging range,
+// and none needs to be. Every position is cut from a task device's own
+// geometry: it lies on one of that device's (or its pair partner's) level
+// circles, radii in [d_min, d_max], or on one of their sector edges, which
+// run radially from d_min to d_max. So each position lies within
+// [d_min − Eps, d_max + Eps] of some device, up to the 1e-9 clamp of a
+// segment parameter (TestPositionsInChargingBand pins this). And were one
+// not, Algorithm 1's range gate (pdcs.tryDevice, oracle.sweep) rejects
+// every device outside that same band, so it would yield no candidate: an
+// out-of-band position could change the candidate_positions count, never a
+// candidate or a placement. The reference extraction (oracle.ExtractAll)
+// keeps the range filter, so the bit-identity walls check this argument.
+func Assemble(tasks [][]geom.Vec) (pts []geom.Vec, ends []int) {
 	n := 0
 	for _, t := range tasks {
 		n += len(t)
@@ -476,65 +475,7 @@ func (g *Generator) Assemble(tasks [][]geom.Vec) (pts []geom.Vec, ends []int) {
 		}
 		ends[i] = len(dd.points)
 	}
-	all := dd.points
-	keep := func(c int) []bool {
-		chunk := all[c*usefulChunk : min((c+1)*usefulChunk, len(all))]
-		mask := make([]uint64, g.dgrid.Words())
-		ok := make([]bool, len(chunk))
-		for k, p := range chunk {
-			ok[k] = g.useful(p, mask)
-		}
-		return ok
-	}
-	var masks [][]bool
-	if nc := (len(all) + usefulChunk - 1) / usefulChunk; nc > 1 {
-		masks = schedule.RunPool(nc, g.workers(), keep)
-	} else if nc == 1 {
-		masks = [][]bool{keep(0)}
-	}
-	pts = all[:0]
-	k := 0
-	for i, end := range ends {
-		for ; k < end; k++ {
-			if masks[k/usefulChunk][k%usefulChunk] {
-				pts = append(pts, all[k])
-			}
-		}
-		ends[i] = len(pts)
-	}
-	return pts, ends
-}
-
-// usefulChunk is the number of deduplicated positions one usefulness-filter
-// job tests: large enough to amortize the hand-out, small enough to balance
-// a few workers over the ~10⁵ positions of a large solve.
-const usefulChunk = 4096
-
-// workers is the resolved worker count: cfg.Workers, or GOMAXPROCS when 0.
-func (g *Generator) workers() int {
-	if g.cfg.Workers > 0 {
-		return g.cfg.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// useful reports whether p is within charging range of some device. Only
-// the devices whose grid cells overlap p's d_max disk are distance-tested;
-// the grid superset is re-checked by the exact predicate, so the answer
-// matches an exhaustive device scan bit for bit.
-func (g *Generator) useful(p geom.Vec, mask []uint64) bool {
-	sc, ct := g.sc, g.sc.ChargerTypes[g.q]
-	clear(mask)
-	g.dgrid.CollectDisk(p, ct.DMax+prunePad, mask)
-	for w, m := range mask {
-		for ; m != 0; m &= m - 1 {
-			j := w*64 + bits.TrailingZeros64(m)
-			if d := p.Dist(sc.Devices[j].Pos); d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps {
-				return true
-			}
-		}
-	}
-	return false
+	return dd.points, ends
 }
 
 // eventAngleSamples returns representative points on each level ring of

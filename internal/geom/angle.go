@@ -33,22 +33,6 @@ func AngleDiff(a, b float64) float64 {
 // [0, π].
 func AbsAngleDiff(a, b float64) float64 { return math.Abs(AngleDiff(a, b)) }
 
-// AngleInArc reports whether angle theta lies on the counterclockwise arc
-// from lo to hi (both normalized internally), inclusive within Eps at both
-// ends. An arc with hi−lo ≥ 2π covers the whole circle.
-func AngleInArc(theta, lo, hi float64) bool {
-	if hi-lo >= 2*math.Pi-Eps {
-		return true
-	}
-	t := NormAngle(theta - lo)
-	span := NormAngle(hi - lo)
-	//lint:ignore floatcmp exact zero from math.Mod distinguishes the hi=lo+2π full-circle encoding from a zero-width arc; a tolerance would misread tiny arcs as full circles
-	if span == 0 && hi != lo {
-		span = 2 * math.Pi
-	}
-	return t <= span+Eps || t >= 2*math.Pi-Eps
-}
-
 // Interval is a counterclockwise angular interval [Lo, Hi] on the circle.
 // Lo is normalized to [0, 2π); Hi may exceed 2π to represent wrap-around,
 // with Hi − Lo ≤ 2π. A full circle is represented with Hi = Lo + 2π.

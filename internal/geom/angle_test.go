@@ -145,18 +145,3 @@ func TestIntervalSetComplementPartition(t *testing.T) {
 		}
 	}
 }
-
-func TestAngleInArc(t *testing.T) {
-	if !AngleInArc(0.5, 0, 1) {
-		t.Error("0.5 in [0,1]")
-	}
-	if AngleInArc(1.5, 0, 1) {
-		t.Error("1.5 not in [0,1]")
-	}
-	if !AngleInArc(0, -0.5, 0.5) {
-		t.Error("0 in [-0.5,0.5]")
-	}
-	if !AngleInArc(math.Pi, 0, 2*math.Pi) {
-		t.Error("full arc contains everything")
-	}
-}

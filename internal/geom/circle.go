@@ -118,41 +118,6 @@ func CircleLineIntersections(c Circle, a, b Vec) []Vec {
 	return []Vec{p1, Lerp(a, b, t2)}
 }
 
-// CircleRayIntersections returns the points where circle c meets ray r,
-// ordered by increasing ray parameter.
-func CircleRayIntersections(c Circle, r Ray) []Vec {
-	d := r.Dir
-	f := r.Origin.Sub(c.C)
-	aa := d.Len2()
-	if aa < Eps*Eps {
-		return nil
-	}
-	bb := 2 * f.Dot(d)
-	cc := f.Len2() - c.R*c.R
-	disc := bb*bb - 4*aa*cc
-	if disc < 0 {
-		return nil
-	}
-	sq := math.Sqrt(disc)
-	var out []Vec
-	for _, t := range []float64{(-bb - sq) / (2 * aa), (-bb + sq) / (2 * aa)} {
-		if t < -1e-9 {
-			continue
-		}
-		p := r.At(math.Max(0, t))
-		dup := false
-		for _, q := range out {
-			if q.Eq(p) {
-				dup = true
-			}
-		}
-		if !dup {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // InscribedArcCircles returns the two circles through points a and b on
 // which a chord ab subtends an inscribed (circumferential) angle of alpha
 // radians, 0 < alpha < π. These are the loci used by Algorithm 2 step 5:

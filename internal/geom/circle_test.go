@@ -68,29 +68,6 @@ func TestCircleSegmentIntersections(t *testing.T) {
 	}
 }
 
-func TestCircleRayIntersections(t *testing.T) {
-	c := Circle{V(10, 0), 3}
-	r := Ray{Origin: V(0, 0), Dir: V(1, 0)}
-	pts := CircleRayIntersections(c, r)
-	if len(pts) != 2 {
-		t.Fatalf("ray secant: %d points", len(pts))
-	}
-	if !pts[0].Eq(V(7, 0)) || !pts[1].Eq(V(13, 0)) {
-		t.Errorf("points = %v", pts)
-	}
-	// Ray pointing away.
-	back := Ray{Origin: V(0, 0), Dir: V(-1, 0)}
-	if pts := CircleRayIntersections(c, back); len(pts) != 0 {
-		t.Errorf("away ray hits: %v", pts)
-	}
-	// Origin inside circle: one forward hit.
-	in := Ray{Origin: V(10, 0), Dir: V(0, 1)}
-	pts = CircleRayIntersections(c, in)
-	if len(pts) != 1 || !pts[0].Eq(V(10, 3)) {
-		t.Errorf("inside-origin ray: %v", pts)
-	}
-}
-
 func TestCircleLineIntersections(t *testing.T) {
 	c := Circle{V(0, 0), 5}
 	pts := CircleLineIntersections(c, V(-1, 3), V(1, 3))

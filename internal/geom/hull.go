@@ -3,56 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
-	"sort"
 )
-
-// ConvexHull returns the convex hull of the points in counterclockwise
-// order (Andrew's monotone chain, O(n log n)). Collinear points on hull
-// edges are dropped. Fewer than three distinct points return the distinct
-// points themselves.
-func ConvexHull(pts []Vec) []Vec {
-	if len(pts) == 0 {
-		return nil
-	}
-	ps := append([]Vec(nil), pts...)
-	sort.Slice(ps, func(i, j int) bool {
-		//lint:ignore floatcmp sort comparators need an exact total order; an ε-tolerant tie-break would violate transitivity
-		if ps[i].X != ps[j].X {
-			return ps[i].X < ps[j].X
-		}
-		return ps[i].Y < ps[j].Y
-	})
-	// Deduplicate.
-	uniq := ps[:1]
-	for _, p := range ps[1:] {
-		if !p.Eq(uniq[len(uniq)-1]) {
-			uniq = append(uniq, p)
-		}
-	}
-	ps = uniq
-	n := len(ps)
-	if n < 3 {
-		return ps
-	}
-	hull := make([]Vec, 0, 2*n)
-	// Lower hull.
-	for _, p := range ps {
-		for len(hull) >= 2 && orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := ps[i]
-		for len(hull) >= lower && orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1] // last point equals the first
-}
 
 // RandomSimplePolygon generates a random simple (non-self-intersecting)
 // polygon with n vertices around center c: a star-shaped construction with

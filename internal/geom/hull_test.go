@@ -6,68 +6,8 @@ import (
 	"testing"
 )
 
-func TestConvexHullSquarePlusInterior(t *testing.T) {
-	pts := []Vec{
-		V(0, 0), V(4, 0), V(4, 4), V(0, 4), // corners
-		V(2, 2), V(1, 3), V(3, 1), // interior
-		V(2, 0), V(4, 2), // on edges (collinear, dropped)
-	}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4: %v", len(hull), hull)
-	}
-	// Counterclockwise orientation.
-	if (Polygon{Vertices: hull}).SignedArea() <= 0 {
-		t.Error("hull should be counterclockwise")
-	}
-}
-
-func TestConvexHullDegenerate(t *testing.T) {
-	if h := ConvexHull(nil); h != nil {
-		t.Error("empty input")
-	}
-	if h := ConvexHull([]Vec{V(1, 1)}); len(h) != 1 {
-		t.Errorf("single point hull = %v", h)
-	}
-	if h := ConvexHull([]Vec{V(1, 1), V(1, 1), V(2, 2)}); len(h) != 2 {
-		t.Errorf("duplicate+pair hull = %v", h)
-	}
-	// Collinear points: hull is the two extremes.
-	h := ConvexHull([]Vec{V(0, 0), V(1, 1), V(2, 2), V(3, 3)})
-	if len(h) != 2 {
-		t.Errorf("collinear hull = %v", h)
-	}
-}
-
 // Property: every input point is inside or on the hull, and the hull is
 // convex.
-func TestConvexHullProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for trial := 0; trial < 100; trial++ {
-		n := 3 + rng.Intn(40)
-		pts := make([]Vec, n)
-		for i := range pts {
-			pts[i] = V(rng.NormFloat64()*5, rng.NormFloat64()*5)
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			continue // collinear draw
-		}
-		poly := Polygon{Vertices: hull}
-		for _, p := range pts {
-			if !poly.ContainsPoint(p) {
-				t.Fatalf("trial %d: point %v outside hull", trial, p)
-			}
-		}
-		// Convexity: every triple turns left (ccw).
-		m := len(hull)
-		for i := 0; i < m; i++ {
-			if orient(hull[i], hull[(i+1)%m], hull[(i+2)%m]) < 0 {
-				t.Fatalf("trial %d: hull not convex at %d", trial, i)
-			}
-		}
-	}
-}
 
 func TestRandomSimplePolygon(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

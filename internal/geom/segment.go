@@ -180,23 +180,3 @@ func RaySegmentIntersection(r Ray, s Segment) (Vec, float64, bool) {
 	t = math.Max(0, t)
 	return r.At(t), t, true
 }
-
-// LineSegmentIntersections returns the points where the infinite line
-// through a and b meets segment s (0 or 1 points; collinear overlap reports
-// none).
-func LineSegmentIntersections(a, b Vec, s Segment) (Vec, bool) {
-	r := b.Sub(a)
-	q := s.Dir()
-	den := r.Cross(q)
-	scale := math.Max(1, r.Len()*q.Len())
-	if math.Abs(den) <= Eps*scale {
-		return Vec{}, false
-	}
-	diff := s.A.Sub(a)
-	v := diff.Cross(r) / den
-	const tol = 1e-9
-	if v < -tol || v > 1+tol {
-		return Vec{}, false
-	}
-	return s.At(math.Max(0, math.Min(1, v))), true
-}

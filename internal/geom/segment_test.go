@@ -93,22 +93,6 @@ func TestRaySegmentIntersection(t *testing.T) {
 	}
 }
 
-func TestLineSegmentIntersections(t *testing.T) {
-	p, ok := LineSegmentIntersections(V(0, 0), V(1, 0), Seg(V(5, -2), V(5, 2)))
-	if !ok || !p.Eq(V(5, 0)) {
-		t.Errorf("line-seg = %v %v", p, ok)
-	}
-	// Line extends beyond points a,b — still hits.
-	p, ok = LineSegmentIntersections(V(0, 0), V(0.1, 0), Seg(V(50, -2), V(50, 2)))
-	if !ok || !p.Eq(V(50, 0)) {
-		t.Errorf("extended line-seg = %v %v", p, ok)
-	}
-	_, ok = LineSegmentIntersections(V(0, 0), V(1, 0), Seg(V(5, 1), V(6, 2)))
-	if ok {
-		t.Error("segment above the line should not hit")
-	}
-}
-
 // Property: if SegmentIntersection returns a point, that point is on both
 // segments.
 func TestSegmentIntersectionOnBoth(t *testing.T) {

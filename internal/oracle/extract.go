@@ -19,16 +19,23 @@ import (
 // (TestBitIdentityWall in internal/pdcs).
 //
 // Positions are generated on an index-free clone, so no obstacle is pruned
-// from ring cutting. Every position then scans every device, answers each
-// candidate ray with its own line-of-sight query on sc, and sweeps
-// Algorithm 1 with a per-position signature map. sc is swept as given: with
-// a visibility index attached the queries go through it, without one they
-// scan every obstacle. All candidates of a type are concatenated before
-// pdcs.FilterDominated.
+// from ring cutting. Positions out of every device's charging range are
+// dropped, as the pipeline once did; production keeps them, since they
+// yield no candidate (see discretize.Assemble). Every position then scans
+// every device, answers each candidate ray with its own line-of-sight
+// query on sc, and sweeps Algorithm 1 with a per-position signature map.
+// sc is swept as given: with a visibility index attached the queries go
+// through it, without one they scan every obstacle. All candidates of a
+// type are concatenated before pdcs.FilterDominated.
 func ExtractAll(sc *model.Scenario, eps1 float64) [][]pdcs.Candidate {
 	out := make([][]pdcs.Candidate, len(sc.ChargerTypes))
 	for q, ct := range sc.ChargerTypes {
-		positions := discretize.CandidatePositions(sc.Clone(), q, discretize.Config{Eps1: eps1, BruteForceVisibility: true})
+		var positions []geom.Vec
+		for _, p := range discretize.CandidatePositions(sc.Clone(), q, discretize.Config{Eps1: eps1, BruteForceVisibility: true}) {
+			if inRange(sc, ct, p) {
+				positions = append(positions, p)
+			}
+		}
 		levels := make([]power.Levels, len(sc.DeviceTypes))
 		for t := range levels {
 			pp := sc.Power[q][t]
@@ -44,6 +51,17 @@ func ExtractAll(sc *model.Scenario, eps1 float64) [][]pdcs.Candidate {
 		out[q] = pdcs.FilterDominated(cands, len(sc.Devices))
 	}
 	return out
+}
+
+// inRange reports whether p is within charging range of some device: the
+// distance to it within [DMin, DMax] (±geom.Eps), by a scan of every device.
+func inRange(sc *model.Scenario, ct model.ChargerType, p geom.Vec) bool {
+	for _, dev := range sc.Devices {
+		if d := p.Dist(dev.Pos); d >= ct.DMin-geom.Eps && d <= ct.DMax+geom.Eps {
+			return true
+		}
+	}
+	return false
 }
 
 // sweep is Algorithm 1 at p. Eligible devices pass the exact predicates:

@@ -474,8 +474,6 @@ type Config struct {
 	Workers int
 	// SkipDominanceFilter keeps dominated candidates (ablation).
 	SkipDominanceFilter bool
-	// SkipPairConstructions is forwarded to internal/discretize (ablation).
-	SkipPairConstructions bool
 	// Clock, when non-nil, supplies the timestamps behind the per-task
 	// durations of DistStats (Algorithm 5's LPT simulation input). It is
 	// injected by measurement harnesses (internal/expt) so the extraction
@@ -499,10 +497,9 @@ func (cfg Config) workers() int {
 // discretize is the position-generation configuration matching cfg.
 func (cfg Config) discretize(workers int) discretize.Config {
 	return discretize.Config{
-		Eps1:                  cfg.Eps1,
-		Workers:               workers,
-		SkipPairConstructions: cfg.SkipPairConstructions,
-		Tracer:                cfg.Tracer,
+		Eps1:    cfg.Eps1,
+		Workers: workers,
+		Tracer:  cfg.Tracer,
 	}
 }
 

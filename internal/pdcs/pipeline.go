@@ -64,7 +64,7 @@ const sweepChunk = 256
 // pipeline is the one candidate-extraction pipeline for charger type q,
 // behind Extract, Memo.Extract and ExtractDistributed:
 //
-//	task positions in device order → first-wins dedup → usefulness filter →
+//	task positions in device order → first-wins dedup →
 //	Algorithm 1 sweep per position → stream reducer → FilterDominated →
 //	detach survivors
 //
@@ -123,7 +123,7 @@ func pipeline(sc *model.Scenario, q int, gen *discretize.Generator, cfg Config, 
 		}
 	}
 	tasks := gen.Workloads(cached, workers, order, timed)
-	positions, ends := gen.Assemble(tasks)
+	positions, ends := discretize.Assemble(tasks)
 	if memo == nil {
 		discretize.ReleaseWorkloads(tasks)
 	}

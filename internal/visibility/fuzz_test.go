@@ -17,8 +17,8 @@ func fuzzCoord(x float64) float64 {
 
 // FuzzLineOfSight drives scenario line-of-sight with an arbitrary triangle
 // obstacle and two arbitrary endpoints. The predicate must never panic,
-// must be symmetric in its endpoints, and must agree with its Occluded
-// negation and with the shadow-interval view from each endpoint.
+// must be symmetric in its endpoints, and must agree with the obstacle's
+// own segment-blocking predicate.
 func FuzzLineOfSight(f *testing.F) {
 	f.Add(2.0, 2.0, 6.0, 2.0, 4.0, 6.0, 0.0, 3.0, 9.0, 3.0)    // blocked crossing
 	f.Add(2.0, 2.0, 6.0, 2.0, 4.0, 6.0, 0.0, 9.0, 9.0, 9.0)    // clear above
@@ -45,8 +45,8 @@ func FuzzLineOfSight(f *testing.F) {
 		if los != sc.LineOfSight(q, p) {
 			t.Fatalf("asymmetric line of sight: p=%v q=%v", p, q)
 		}
-		if Occluded(sc, p, q) == los {
-			t.Fatalf("Occluded disagrees with LineOfSight: p=%v q=%v", p, q)
+		if tri.BlocksSegment(geom.Seg(p, q)) == los {
+			t.Fatalf("LineOfSight disagrees with BlocksSegment: p=%v q=%v", p, q)
 		}
 		// A point always sees itself: the open segment is empty.
 		if !sc.LineOfSight(p, p) {

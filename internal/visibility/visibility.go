@@ -170,9 +170,3 @@ func dedupSortedAngles(xs []float64) []float64 {
 	}
 	return out
 }
-
-// Occluded reports whether the direction from p to q is blocked by any
-// obstacle before reaching q (i.e. no line of sight).
-func Occluded(sc *model.Scenario, p, q geom.Vec) bool {
-	return !sc.LineOfSight(p, q)
-}

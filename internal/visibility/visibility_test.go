@@ -194,10 +194,10 @@ func TestDedupSortedAngles(t *testing.T) {
 
 func TestOccluded(t *testing.T) {
 	sc := scenarioWith(model.Obstacle{Shape: geom.Rect(4, -1, 6, 1)})
-	if !Occluded(sc, geom.V(0, 0), geom.V(10, 0)) {
+	if sc.LineOfSight(geom.V(0, 0), geom.V(10, 0)) {
 		t.Error("path through obstacle should be occluded")
 	}
-	if Occluded(sc, geom.V(0, 0), geom.V(0, 10)) {
+	if !sc.LineOfSight(geom.V(0, 0), geom.V(0, 10)) {
 		t.Error("clear path should not be occluded")
 	}
 }
